@@ -75,14 +75,11 @@ impl Json {
     ///
     /// Returns a message with the byte offset of the first syntax error.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser { text, pos: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.text.len() {
             return Err(format!("trailing content at byte {}", p.pos));
         }
         Ok(v)
@@ -140,15 +137,21 @@ impl fmt::Display for Json {
     }
 }
 
+/// A cursor over the input. `pos` always sits on a `char` boundary: it
+/// advances over ASCII bytes or whole code points only.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
 impl Parser<'_> {
+    fn bytes(&self) -> &[u8] {
+        self.text.as_bytes()
+    }
+
     fn skip_ws(&mut self) {
         while self
-            .bytes
+            .bytes()
             .get(self.pos)
             .is_some_and(|b| b" \t\r\n".contains(b))
         {
@@ -157,7 +160,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -170,7 +173,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -214,7 +217,7 @@ impl Parser<'_> {
                         b'r' => out.push('\r'),
                         b'u' => {
                             let hex = self
-                                .bytes
+                                .bytes()
                                 .get(self.pos..self.pos + 4)
                                 .ok_or("truncated \\u escape")?;
                             let code = u32::from_str_radix(
@@ -229,10 +232,8 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = rest.chars().next().expect("non-empty");
+                    // Consume one code point from the current position.
+                    let c = self.text[self.pos..].chars().next().expect("non-empty");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -251,7 +252,7 @@ impl Parser<'_> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| format!("invalid number at byte {start}"))
@@ -361,6 +362,17 @@ mod tests {
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("\"abc").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn long_multibyte_strings_parse_in_linear_time() {
+        // 1.5 MiB of two-, three- and four-byte code points: re-checking
+        // the rest of the input per character would take minutes here.
+        let s = "é€😀x".repeat(150_000);
+        assert!(s.len() >= 1 << 20);
+        let doc = Json::Arr(vec![Json::Str(s.clone()), Json::int(1)]);
+        let parsed = Json::parse(&doc.to_string()).unwrap();
+        assert_eq!(parsed.as_arr().unwrap()[0].as_str(), Some(s.as_str()));
     }
 
     #[test]

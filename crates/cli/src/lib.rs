@@ -425,7 +425,7 @@ USAGE:
                 --size <K> [--seed <S>] [--dot]
   treeaa info   --tree <file>
   treeaa run    --tree <file> --inputs <l1,l2,...> [--t <T>]
-                [--protocol treeaa|baseline] [--engine gradecast|gradecast-batched|halving]
+                [--protocol treeaa|baseline] [--engine gradecast|halving]
                 [--adversary none|chaos|crash|omission] [--seed <S>]
   treeaa bounds --diameter <D> --n <N> --t <T>
   treeaa fuzz   [--seed <S>] [--cases <K>] [--minimize] [--faults]
@@ -1208,7 +1208,7 @@ fn run_bundle_bench_sim(
     for j in 0..timed {
         let report = run_simulation(
             sim,
-            |id, _n| real_aa::RealAaBatchParty::new(id, cfg, bench_input(id.index(), j)),
+            |id, _n| real_aa::RealAaParty::new(id, cfg, bench_input(id.index(), j)),
             Passive,
         )
         .map_err(|e| format!("independent run {j} failed: {e}"))?;
@@ -1302,6 +1302,7 @@ fn run_bundle_bench_tcp(
     baseline_cap: usize,
 ) -> Result<BundleBenchReport, String> {
     let cfg = real_aa::RealAaConfig::new(n, t, 0.5, 8.0)?;
+    net::check_bundle_frame(n, k).map_err(|e| format!("--bundle: {e}"))?;
     let inputs: Vec<Vec<f64>> = (0..n)
         .map(|p| (0..k).map(|j| bench_input(p, j)).collect())
         .collect();
@@ -1569,7 +1570,6 @@ pub fn execute(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String
                 .collect::<Result<_, _>>()?;
             let engine = match engine.as_str() {
                 "gradecast" => EngineKind::Gradecast,
-                "gradecast-batched" => EngineKind::GradecastBatched,
                 "halving" => EngineKind::Halving,
                 other => return Err(format!("unknown engine `{other}`")),
             };
@@ -2040,6 +2040,24 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("speedup gate failed"), "{err}");
+    }
+
+    #[test]
+    fn tcp_bench_rejects_a_bundle_too_large_for_one_frame() {
+        let max_k = net::check_bundle_frame(4, usize::MAX >> 8)
+            .unwrap_err()
+            .max_k;
+        let bench = |bundle| Command::Bench {
+            bundle,
+            n: 4,
+            t: 1,
+            transport: "tcp".into(),
+            baseline_cap: 1,
+            min_speedup: 0.0,
+            out: String::new(),
+        };
+        let err = execute(bench(max_k + 1), &mut Vec::new()).unwrap_err();
+        assert!(err.contains(&format!("at most k = {max_k}")), "{err}");
     }
 
     #[test]

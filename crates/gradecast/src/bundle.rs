@@ -7,7 +7,7 @@
 //! broadcasts **one** message per phase carrying a struct-of-arrays
 //! vector over all k instances — an outer presence bitmap (absent slot =
 //! instance already finished at that sender) whose entries are exactly
-//! the per-instance [`GcBatchMsg`](crate::GcBatchMsg) bodies of PR 6's
+//! the per-instance [`GcBatchMsg`](crate::GcBatchMsg) bodies of the
 //! batched wire, `Arc`-shared so inbox clones never copy the arrays.
 //! Delivered bytes per round stay O(n²) of framing shared across all k
 //! instances, plus the per-instance payload each instance would have
@@ -43,7 +43,7 @@ use std::sync::Arc;
 
 use sim_net::{PartyId, Payload};
 
-use crate::batch::{BatchGradecast, GcSlots, GcValue};
+use crate::batch::{BatchGradecast, GcSlots, GcValue, GcVotes, VoteKey};
 use crate::state::GradecastOutput;
 
 /// A structurally invalid bundle request.
@@ -76,6 +76,9 @@ pub enum GcBundleMsg<V> {
     Echoes(Arc<GcSlots<GcSlots<V>>>),
     /// Round 3i+3: per active instance, the sender's vote hashes.
     Votes(Arc<GcSlots<GcSlots<u32>>>),
+    /// Round 3i+3 when some instance's votes escalated to exact keys
+    /// (see [`crate::batch`]); every instance is then sent keyed.
+    KeyedVotes(Arc<GcSlots<GcSlots<VoteKey>>>),
 }
 
 impl<V: Payload> Payload for GcBundleMsg<V> {
@@ -90,6 +93,9 @@ impl<V: Payload> Payload for GcBundleMsg<V> {
             }
             GcBundleMsg::Votes(outer) => {
                 1 + outer.wire_bytes_with(|inner| inner.wire_bytes_with(|_| 4))
+            }
+            GcBundleMsg::KeyedVotes(outer) => {
+                1 + outer.wire_bytes_with(|inner| inner.wire_bytes_with(VoteKey::wire_bytes))
             }
         }
     }
@@ -114,33 +120,11 @@ impl<V: GcValue> BundleGradecast<V> {
     ///
     /// As [`BatchGradecast::new`]: requires `n > 3t` and `me < n`.
     pub fn new(me: PartyId, n: usize, t: usize, k: usize) -> Result<Self, BundleError> {
-        Self::with_muted(me, n, t, vec![vec![false; n]; k])
-    }
-
-    /// Creates a bundle with a per-instance initial muted set (carried
-    /// over between `RealAA` iterations); `k = muted.len()`.
-    ///
-    /// # Errors
-    ///
-    /// [`BundleError::Empty`] if `muted` is empty.
-    ///
-    /// # Panics
-    ///
-    /// As [`BatchGradecast::with_muted`] for each instance.
-    pub fn with_muted(
-        me: PartyId,
-        n: usize,
-        t: usize,
-        muted: Vec<Vec<bool>>,
-    ) -> Result<Self, BundleError> {
-        if muted.is_empty() {
+        if k == 0 {
             return Err(BundleError::Empty);
         }
         Ok(BundleGradecast {
-            cores: muted
-                .into_iter()
-                .map(|m| BatchGradecast::with_muted(me, n, t, m))
-                .collect(),
+            cores: (0..k).map(|_| BatchGradecast::new(me, n, t)).collect(),
         })
     }
 
@@ -156,8 +140,8 @@ impl<V: GcValue> BundleGradecast<V> {
     ///
     /// # Panics
     ///
-    /// Panics unless `muted.len() == k` and each entry covers `n`.
-    pub fn reset_with_muted(&mut self, muted: &[Vec<bool>]) {
+    /// Panics unless `muted` yields `k` sets, each covering `n`.
+    pub fn reset_with_muted<'a>(&mut self, muted: impl ExactSizeIterator<Item = &'a [bool]>) {
         assert_eq!(muted.len(), self.k(), "one muted set per instance");
         for (core, m) in self.cores.iter_mut().zip(muted) {
             core.reset_with_muted(m);
@@ -174,32 +158,33 @@ impl<V: GcValue> BundleGradecast<V> {
         V: 'a,
     {
         for (from, msg) in inbox {
-            if let GcBundleMsg::Votes(outer) = msg {
-                for (inst, inner) in outer.iter() {
-                    if let Some(core) = self.cores.get_mut(inst) {
-                        core.absorb_vote_slots(from, inner);
+            match msg {
+                GcBundleMsg::Votes(outer) => {
+                    for (inst, inner) in outer.iter() {
+                        if let Some(core) = self.cores.get_mut(inst) {
+                            core.absorb_vote_slots(from, inner);
+                        }
                     }
                 }
+                GcBundleMsg::KeyedVotes(outer) => {
+                    for (inst, inner) in outer.iter() {
+                        if let Some(core) = self.cores.get_mut(inst) {
+                            core.absorb_keyed_vote_slots(from, inner);
+                        }
+                    }
+                }
+                _ => {}
             }
         }
     }
 
-    /// The per-instance core (for muting and inspection).
+    /// The per-instance core (for grading and inspection).
     ///
     /// # Panics
     ///
     /// Panics if `inst >= k`.
     pub fn core(&self, inst: usize) -> &BatchGradecast<V> {
         &self.cores[inst]
-    }
-
-    /// The per-instance core, mutably.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inst >= k`.
-    pub fn core_mut(&mut self, inst: usize) -> &mut BatchGradecast<V> {
-        &mut self.cores[inst]
     }
 
     /// Phase 1: the bundled lead message — this party's own value per
@@ -263,10 +248,23 @@ impl<V: GcValue> BundleGradecast<V> {
                 }
             }
         }
-        let votes = (0..self.k())
-            .map(|j| active[j].then(|| self.cores[j].vote_slots()))
-            .collect();
-        GcBundleMsg::Votes(Arc::new(GcSlots::from_options(votes)))
+        // Hash-only unless some instance escalated a vote; then every
+        // instance is sent keyed (the rare path recomputes its slots).
+        let mut hashed = Vec::with_capacity(self.k());
+        for (core, &on) in self.cores.iter().zip(active) {
+            match on.then(|| core.vote_slots()) {
+                None => hashed.push(None),
+                Some(GcVotes::Hashed(slots)) => hashed.push(Some(slots)),
+                Some(GcVotes::Keyed(_)) => {
+                    let keyed = self.cores.iter().zip(active);
+                    let keyed = keyed.map(|(c, &on)| on.then(|| c.vote_slots().into_keyed()));
+                    return GcBundleMsg::KeyedVotes(Arc::new(GcSlots::from_options(
+                        keyed.collect(),
+                    )));
+                }
+            }
+        }
+        GcBundleMsg::Votes(Arc::new(GcSlots::from_options(hashed)))
     }
 
     /// Phase 4: consume round-3i+3 vote bundles and grade every leader
@@ -384,10 +382,6 @@ mod tests {
     fn empty_bundle_is_a_typed_error() {
         assert_eq!(
             BundleGradecast::<u64>::new(PartyId(0), 4, 1, 0).unwrap_err(),
-            BundleError::Empty
-        );
-        assert_eq!(
-            BundleGradecast::<u64>::with_muted(PartyId(0), 4, 1, Vec::new()).unwrap_err(),
             BundleError::Empty
         );
         let msg = BundleError::Empty.to_string();

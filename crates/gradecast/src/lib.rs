@@ -25,31 +25,26 @@
 //!
 //! All `n` instances (every party acting as leader once) run *in parallel*
 //! inside the same three rounds — this is how `RealAA` uses them, via
-//! [`ParallelGradecast`]. A standalone [`GradecastProtocol`] adapter runs
-//! one parallel batch on a `sim-net` simulation for testing and message
-//! accounting.
-//!
-//! # Muting
-//!
-//! [`ParallelGradecast::mute`] makes a party *stop relaying* (echoing and
-//! voting) for a given leader while still evaluating that leader's grades
-//! from other parties' traffic. Muting is how `RealAA` permanently
-//! silences parties caught equivocating: once more than `t` honest parties
-//! mute a leader, no value of that leader can gather the `n − t` echoes
-//! needed for a single honest vote, so every honest party grades it 0
-//! forever after.
+//! [`BatchGradecast`]. Each party sends **one** message per phase that
+//! carries its entries for all `n` instances, so delivered bytes per
+//! round are O(n²) (see the [`batch`] module docs for the encoding, the
+//! vote-by-hash trick and why binding survives hash collisions). A
+//! standalone [`BatchGradecastProtocol`] adapter runs one parallel batch
+//! on a `sim-net` simulation for testing and message accounting, and
+//! [`BundleGradecast`] shares each phase's message across k concurrent
+//! `RealAA` instances.
 //!
 //! # Example
 //!
 //! ```
-//! use gradecast::{Grade, GradecastProtocol};
+//! use gradecast::{BatchGradecastProtocol, Grade};
 //! use sim_net::{run_simulation, Passive, SimConfig};
 //!
 //! // Seven parties gradecast their ids in parallel; no corruption.
 //! let cfg = SimConfig { n: 7, t: 2, max_rounds: 8 };
 //! let report = run_simulation(
 //!     cfg,
-//!     |id, n| GradecastProtocol::new(id, n, 2, id.index() as u64),
+//!     |id, n| BatchGradecastProtocol::new(id, n, 2, id.index() as u64),
 //!     Passive,
 //! ).unwrap();
 //! for out in report.honest_outputs() {
@@ -60,24 +55,13 @@
 //! }
 //! ```
 
-//!
-//! # Scaling
-//!
-//! [`ParallelGradecast`] sends one `Echo`/`Vote` broadcast per instance —
-//! O(n³) batch bytes per round once fan-out is counted. [`BatchGradecast`]
-//! is the semantically equivalent scale path: one struct-of-arrays
-//! broadcast per sender per phase (see the [`batch`] module docs), used by
-//! `real-aa`'s batched party for n ∈ {1024, 4096} runs.
-
 #![warn(missing_docs)]
 pub mod batch;
 pub mod bundle;
-mod msg;
-mod protocol;
 mod state;
 
-pub use batch::{BatchGradecast, BatchGradecastProtocol, GcBatchMsg, GcSlots, GcValue};
+pub use batch::{
+    BatchGradecast, BatchGradecastProtocol, GcBatchMsg, GcSlots, GcValue, GcVotes, VoteKey,
+};
 pub use bundle::{BundleError, BundleGradecast, GcBundleMsg};
-pub use msg::GcMsg;
-pub use protocol::GradecastProtocol;
-pub use state::{Grade, GradecastOutput, ParallelGradecast};
+pub use state::{Grade, GradecastOutput};

@@ -1,10 +1,4 @@
-//! The parallel gradecast state machine (pure, engine-agnostic).
-
-use std::collections::BTreeMap;
-
-use sim_net::PartyId;
-
-use crate::msg::GcMsg;
+//! Gradecast outputs: the grade scale and the per-leader result.
 
 /// A gradecast confidence grade.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -43,334 +37,5 @@ impl<V> GradecastOutput<V> {
     /// Whether this output would be *accepted* by `RealAA` (grade ≥ 1).
     pub fn accepted(&self) -> bool {
         self.grade >= Grade::One
-    }
-}
-
-/// One batch of `n` parallel gradecast instances (every party leads one),
-/// as a pure three-phase state machine.
-///
-/// The caller drives the phases in order, feeding each phase the messages
-/// delivered for it and broadcasting the messages each phase returns:
-///
-/// 1. [`ParallelGradecast::lead_msgs`] — this party's round-1 broadcast;
-/// 2. [`ParallelGradecast::on_leads`] — consume leads, produce echoes;
-/// 3. [`ParallelGradecast::on_echoes`] — consume echoes, produce votes;
-/// 4. [`ParallelGradecast::on_votes`] — consume votes, produce the final
-///    [`GradecastOutput`] per leader.
-///
-/// Values must be `Ord` so vote tallies have a deterministic maximum.
-///
-/// Messages from the same sender for the same slot are de-duplicated
-/// (first one wins) — a Byzantine sender gains nothing by repeating
-/// itself on an authenticated channel.
-#[derive(Clone, Debug)]
-pub struct ParallelGradecast<V> {
-    me: PartyId,
-    n: usize,
-    t: usize,
-    /// Leaders this party refuses to relay (echo/vote) for.
-    muted: Vec<bool>,
-    /// Per leader: the lead value received (first lead wins).
-    leads: Vec<Option<V>>,
-    /// Per leader: echo tallies value → distinct-sender count.
-    echo_tally: Vec<BTreeMap<V, usize>>,
-    /// Per (leader, sender): whether an echo was already counted.
-    echo_seen: Vec<Vec<bool>>,
-    /// Per leader: vote tallies.
-    vote_tally: Vec<BTreeMap<V, usize>>,
-    /// Per (leader, sender): whether a vote was already counted.
-    vote_seen: Vec<Vec<bool>>,
-}
-
-impl<V: Clone + Ord + std::fmt::Debug> ParallelGradecast<V> {
-    /// Creates a batch for party `me` out of `n` with corruption bound
-    /// `t`, with no leaders muted.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `n > 3t` and `me < n` — gradecast's guarantees need
-    /// `t < n/3`, and constructing it outside that regime is a bug.
-    pub fn new(me: PartyId, n: usize, t: usize) -> Self {
-        Self::with_muted(me, n, t, vec![false; n])
-    }
-
-    /// Creates a batch with an initial muted set (carried over between
-    /// `RealAA` iterations).
-    ///
-    /// # Panics
-    ///
-    /// As [`ParallelGradecast::new`]; additionally requires
-    /// `muted.len() == n`.
-    pub fn with_muted(me: PartyId, n: usize, t: usize, muted: Vec<bool>) -> Self {
-        assert!(n > 3 * t, "gradecast requires n > 3t (n = {n}, t = {t})");
-        assert!(me.index() < n, "party id out of range");
-        assert_eq!(muted.len(), n, "muted set must cover all parties");
-        ParallelGradecast {
-            me,
-            n,
-            t,
-            muted,
-            leads: vec![None; n],
-            echo_tally: vec![BTreeMap::new(); n],
-            echo_seen: vec![vec![false; n]; n],
-            vote_tally: vec![BTreeMap::new(); n],
-            vote_seen: vec![vec![false; n]; n],
-        }
-    }
-
-    /// This party's id.
-    pub fn me(&self) -> PartyId {
-        self.me
-    }
-
-    /// Number of parties.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Corruption bound.
-    pub fn t(&self) -> usize {
-        self.t
-    }
-
-    /// Stops relaying for `leader` (permanently, across batches if the
-    /// caller carries the muted set forward).
-    pub fn mute(&mut self, leader: PartyId) {
-        self.muted[leader.index()] = true;
-    }
-
-    /// Whether `leader` is muted here.
-    pub fn is_muted(&self, leader: PartyId) -> bool {
-        self.muted[leader.index()]
-    }
-
-    /// The muted set, for carrying into the next batch.
-    pub fn muted(&self) -> &[bool] {
-        &self.muted
-    }
-
-    /// Phase 1: the messages this party broadcasts as leader of its own
-    /// instance.
-    pub fn lead_msgs(&self, value: V) -> Vec<GcMsg<V>> {
-        vec![GcMsg::Lead(value)]
-    }
-
-    /// Phase 2: consume round-1 leads, return echoes to broadcast.
-    ///
-    /// Leads from muted leaders are ignored; no echoes are produced for
-    /// them.
-    pub fn on_leads(&mut self, inbox: &[(PartyId, GcMsg<V>)]) -> Vec<GcMsg<V>> {
-        for (from, msg) in inbox {
-            if let GcMsg::Lead(v) = msg {
-                let leader = from.index();
-                if !self.muted[leader] && self.leads[leader].is_none() {
-                    self.leads[leader] = Some(v.clone());
-                }
-            }
-        }
-        self.leads
-            .iter()
-            .enumerate()
-            .filter_map(|(leader, lead)| {
-                lead.as_ref()
-                    .map(|v| GcMsg::Echo(PartyId(leader), v.clone()))
-            })
-            .collect()
-    }
-
-    /// Phase 3: consume round-2 echoes, return votes to broadcast.
-    ///
-    /// A vote for leader `ℓ` and value `v` is produced iff `n − t`
-    /// distinct parties echoed `v` for `ℓ` and `ℓ` is not muted.
-    pub fn on_echoes(&mut self, inbox: &[(PartyId, GcMsg<V>)]) -> Vec<GcMsg<V>> {
-        for (from, msg) in inbox {
-            if let GcMsg::Echo(leader, v) = msg {
-                let (l, s) = (leader.index(), from.index());
-                if l < self.n && !self.echo_seen[l][s] {
-                    self.echo_seen[l][s] = true;
-                    *self.echo_tally[l].entry(v.clone()).or_insert(0) += 1;
-                }
-            }
-        }
-        let mut votes = Vec::new();
-        for l in 0..self.n {
-            if self.muted[l] {
-                continue;
-            }
-            if let Some((v, _)) = self.echo_tally[l]
-                .iter()
-                .find(|&(_, &c)| c >= self.n - self.t)
-            {
-                votes.push(GcMsg::Vote(PartyId(l), v.clone()));
-            }
-        }
-        votes
-    }
-
-    /// Phase 4: consume round-3 votes and produce the output for every
-    /// leader.
-    ///
-    /// Outputs are computed for muted leaders too: muting suppresses
-    /// *relaying*, not *evaluation* (see the crate docs on why `RealAA`
-    /// needs exactly this split).
-    pub fn on_votes(&mut self, inbox: &[(PartyId, GcMsg<V>)]) -> Vec<GradecastOutput<V>> {
-        for (from, msg) in inbox {
-            if let GcMsg::Vote(leader, v) = msg {
-                let (l, s) = (leader.index(), from.index());
-                if l < self.n && !self.vote_seen[l][s] {
-                    self.vote_seen[l][s] = true;
-                    *self.vote_tally[l].entry(v.clone()).or_insert(0) += 1;
-                }
-            }
-        }
-        (0..self.n)
-            .map(|l| {
-                // Deterministic argmax: BTreeMap iterates values in order,
-                // keep the first value attaining the maximal count.
-                let best = self.vote_tally[l]
-                    .iter()
-                    .max_by(|a, b| a.1.cmp(b.1).then_with(|| b.0.cmp(a.0)));
-                match best {
-                    Some((v, &c)) if c >= self.n - self.t => GradecastOutput {
-                        value: Some(v.clone()),
-                        grade: Grade::Two,
-                    },
-                    Some((v, &c)) if c > self.t => GradecastOutput {
-                        value: Some(v.clone()),
-                        grade: Grade::One,
-                    },
-                    _ => GradecastOutput {
-                        value: None,
-                        grade: Grade::Zero,
-                    },
-                }
-            })
-            .collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn all_honest_run(n: usize, t: usize, values: &[u64]) -> Vec<Vec<GradecastOutput<u64>>> {
-        // Drive n state machines by hand, all honest.
-        let mut machines: Vec<ParallelGradecast<u64>> = (0..n)
-            .map(|i| ParallelGradecast::new(PartyId(i), n, t))
-            .collect();
-        // Round 1: leads.
-        let mut leads: Vec<(PartyId, GcMsg<u64>)> = Vec::new();
-        for (i, m) in machines.iter().enumerate() {
-            for msg in m.lead_msgs(values[i]) {
-                leads.push((PartyId(i), msg));
-            }
-        }
-        // Round 2: echoes (everyone receives all leads).
-        let mut echoes: Vec<(PartyId, GcMsg<u64>)> = Vec::new();
-        for (i, m) in machines.iter_mut().enumerate() {
-            for msg in m.on_leads(&leads) {
-                echoes.push((PartyId(i), msg));
-            }
-        }
-        // Round 3: votes.
-        let mut votes: Vec<(PartyId, GcMsg<u64>)> = Vec::new();
-        for (i, m) in machines.iter_mut().enumerate() {
-            for msg in m.on_echoes(&echoes) {
-                votes.push((PartyId(i), msg));
-            }
-        }
-        machines.iter_mut().map(|m| m.on_votes(&votes)).collect()
-    }
-
-    #[test]
-    fn all_honest_all_grade_two() {
-        let values = [10, 20, 30, 40];
-        let outs = all_honest_run(4, 1, &values);
-        for out in &outs {
-            for (leader, slot) in out.iter().enumerate() {
-                assert_eq!(slot.grade, Grade::Two);
-                assert_eq!(slot.value, Some(values[leader]));
-                assert!(slot.accepted());
-            }
-        }
-    }
-
-    #[test]
-    fn muted_leader_grades_zero_when_all_mute() {
-        let n = 4;
-        let mut machines: Vec<ParallelGradecast<u64>> = (0..n)
-            .map(|i| ParallelGradecast::new(PartyId(i), n, 1))
-            .collect();
-        for m in &mut machines {
-            m.mute(PartyId(0));
-        }
-        let mut leads = Vec::new();
-        for (i, m) in machines.iter().enumerate() {
-            for msg in m.lead_msgs(i as u64) {
-                leads.push((PartyId(i), msg));
-            }
-        }
-        let mut echoes = Vec::new();
-        for (i, m) in machines.iter_mut().enumerate() {
-            for msg in m.on_leads(&leads) {
-                echoes.push((PartyId(i), msg));
-            }
-        }
-        // No echoes for leader 0 at all.
-        assert!(echoes
-            .iter()
-            .all(|(_, m)| !matches!(m, GcMsg::Echo(l, _) if l.index() == 0)));
-        let mut votes = Vec::new();
-        for (i, m) in machines.iter_mut().enumerate() {
-            for msg in m.on_echoes(&echoes) {
-                votes.push((PartyId(i), msg));
-            }
-        }
-        for m in &mut machines {
-            let out = m.on_votes(&votes);
-            assert_eq!(out[0].grade, Grade::Zero);
-            assert_eq!(out[0].value, None);
-            // Other leaders unaffected.
-            for slot in &out[1..] {
-                assert_eq!(slot.grade, Grade::Two);
-            }
-        }
-    }
-
-    #[test]
-    fn duplicate_messages_from_same_sender_count_once() {
-        let n = 4;
-        let mut m = ParallelGradecast::<u64>::new(PartyId(0), n, 1);
-        // Feed duplicate votes for leader 1 value 9 from the same sender.
-        let vote = (PartyId(2), GcMsg::Vote(PartyId(1), 9u64));
-        let out = m.on_votes(&[vote.clone(), vote.clone(), vote]);
-        // One vote < t + 1 = 2, so grade 0.
-        assert_eq!(out[1].grade, Grade::Zero);
-    }
-
-    #[test]
-    fn votes_below_threshold_grade_zero_between_grade_one() {
-        let n = 4; // t = 1: grade 1 needs 2 votes, grade 2 needs 3.
-        let mut m = ParallelGradecast::<u64>::new(PartyId(0), n, 1);
-        let out = m.on_votes(&[
-            (PartyId(1), GcMsg::Vote(PartyId(3), 7u64)),
-            (PartyId(2), GcMsg::Vote(PartyId(3), 7u64)),
-        ]);
-        assert_eq!(out[3].grade, Grade::One);
-        assert_eq!(out[3].value, Some(7));
-    }
-
-    #[test]
-    #[should_panic(expected = "n > 3t")]
-    fn rejects_too_many_faults() {
-        let _ = ParallelGradecast::<u64>::new(PartyId(0), 6, 2);
-    }
-
-    #[test]
-    fn first_lead_wins() {
-        let n = 4;
-        let mut m = ParallelGradecast::<u64>::new(PartyId(0), n, 1);
-        let echoes = m.on_leads(&[(PartyId(1), GcMsg::Lead(5)), (PartyId(1), GcMsg::Lead(6))]);
-        assert_eq!(echoes, vec![GcMsg::Echo(PartyId(1), 5)]);
     }
 }

@@ -2,23 +2,133 @@
 //! (randomized) Byzantine behaviour by up to `t` statically corrupted
 //! parties.
 
-use gradecast::{GcMsg, Grade, GradecastProtocol};
+use std::sync::Arc;
+
+use gradecast::{BatchGradecastProtocol, GcBatchMsg, GcSlots, GcValue, Grade, VoteKey};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use sim_net::{run_simulation, AdversaryCtx, PartyId, Payload, ScriptedAdversary, SimConfig};
+use sim_net::{run_simulation, AdversaryCtx, PartyId, ScriptedAdversary, SimConfig};
 
-/// A chaos adversary: statically corrupts `bad` parties; every round each
-/// corrupted party sprays random gradecast messages (random kinds, leader
-/// tags, values, recipients).
-fn chaos<V>(
+type Msg = GcBatchMsg<u64>;
+
+/// Two values whose vote hashes collide (birthday search over `0..2^17`).
+const X: u64 = 99_582;
+const X2: u64 = 106_658;
+
+/// How the corrupted parties misbehave.
+#[derive(Clone, Copy, Debug)]
+enum Strategy {
+    /// Random messages of every kind (leads, echo batches, hash and keyed
+    /// vote batches) with random leader slots, values and recipients.
+    Spray,
+    /// Colliding equivocation: every corrupted leader leads x or x′ (whose
+    /// vote hashes collide) per recipient, and every corrupted party
+    /// relays honestly except that, per recipient, it echoes x or x′ and
+    /// votes either hash or exact key of x or x′ for the corrupted
+    /// leaders.
+    Colliding,
+}
+
+/// Random slots over `n` leaders, each present with probability 1/2.
+fn random_slots<T>(
+    rng: &mut ChaCha8Rng,
+    n: usize,
+    mut f: impl FnMut(&mut ChaCha8Rng) -> T,
+) -> GcSlots<T> {
+    GcSlots::from_options((0..n).map(|_| rng.gen_bool(0.5).then(|| f(rng))).collect())
+}
+
+fn spray(ctx: &mut AdversaryCtx<'_, Msg>, rng: &mut ChaCha8Rng, bad: &[PartyId], values: &[u64]) {
+    let n = ctx.n();
+    let pick = |rng: &mut ChaCha8Rng| values[rng.gen_range(0..values.len())];
+    for &p in bad {
+        let burst = rng.gen_range(0..2 * n);
+        for _ in 0..burst {
+            let to = PartyId(rng.gen_range(0..n));
+            let msg = match rng.gen_range(0..4) {
+                0 => GcBatchMsg::Lead(pick(rng)),
+                1 => GcBatchMsg::Echoes(Arc::new(random_slots(rng, n, pick))),
+                2 => GcBatchMsg::Votes(Arc::new(random_slots(rng, n, |r| pick(r).hash32()))),
+                _ => GcBatchMsg::KeyedVotes(Arc::new(random_slots(rng, n, |r| {
+                    let v = pick(r);
+                    if r.gen_bool(0.5) {
+                        VoteKey::Exact(v)
+                    } else {
+                        VoteKey::Hash(v.hash32())
+                    }
+                }))),
+            };
+            ctx.send(p, to, msg);
+        }
+    }
+}
+
+/// Rewrites `p`'s tentative batch toward one recipient: corrupted
+/// leaders' slots get x or x′ (echoes) or one of their vote keys (votes).
+fn colliding_rewrite(msg: &Msg, rng: &mut ChaCha8Rng, bad: &[PartyId], n: usize) -> Msg {
+    let is_bad = |l: usize| bad.iter().any(|b| b.index() == l);
+    let coin = |rng: &mut ChaCha8Rng| if rng.gen_bool(0.5) { X } else { X2 };
+    match msg {
+        GcBatchMsg::Echoes(slots) => {
+            let mut opts: Vec<Option<u64>> = (0..n).map(|_| None).collect();
+            for (l, &v) in slots.iter() {
+                opts[l] = Some(v);
+            }
+            for (l, slot) in opts.iter_mut().enumerate() {
+                if is_bad(l) {
+                    *slot = Some(coin(rng));
+                }
+            }
+            GcBatchMsg::Echoes(Arc::new(GcSlots::from_options(opts)))
+        }
+        GcBatchMsg::Votes(_) | GcBatchMsg::KeyedVotes(_) => {
+            let keyed = match msg {
+                GcBatchMsg::Votes(s) => (**s).clone().map(VoteKey::Hash),
+                GcBatchMsg::KeyedVotes(s) => (**s).clone(),
+                _ => unreachable!(),
+            };
+            let mut opts: Vec<Option<VoteKey>> = (0..n).map(|_| None).collect();
+            for (l, &k) in keyed.iter() {
+                opts[l] = Some(k);
+            }
+            for (l, slot) in opts.iter_mut().enumerate() {
+                if is_bad(l) {
+                    let v = coin(rng);
+                    *slot = Some(if rng.gen_bool(0.5) {
+                        VoteKey::Exact(v)
+                    } else {
+                        VoteKey::Hash(v.hash32())
+                    });
+                }
+            }
+            GcBatchMsg::KeyedVotes(Arc::new(GcSlots::from_options(opts)))
+        }
+        GcBatchMsg::Lead(_) => GcBatchMsg::Lead(coin(rng)),
+    }
+}
+
+fn colliding(ctx: &mut AdversaryCtx<'_, Msg>, rng: &mut ChaCha8Rng, bad: &[PartyId]) {
+    let n = ctx.n();
+    for &p in bad {
+        let tentative: Vec<Msg> = ctx.tentative_outbox(p).broadcasts().to_vec();
+        for to in (0..n).map(PartyId) {
+            for msg in &tentative {
+                let lie = colliding_rewrite(msg, rng, bad, n);
+                ctx.send(p, to, lie);
+            }
+        }
+    }
+}
+
+/// The adversary: statically corrupts `bad` parties and runs `strategy`
+/// with them every round.
+fn chaos(
     bad: Vec<PartyId>,
     seed: u64,
-    values: Vec<V>,
-) -> impl FnMut(&mut AdversaryCtx<'_, GcMsg<V>>)
-where
-    V: Payload + Ord,
-{
+    strategy: Strategy,
+    values: Vec<u64>,
+) -> impl FnMut(&mut AdversaryCtx<'_, Msg>) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     move |ctx| {
         if ctx.round() == 1 {
@@ -26,25 +136,14 @@ where
                 ctx.corrupt(p).expect("within budget");
             }
         }
-        let n = ctx.n();
-        for &p in &bad {
-            let burst = rng.gen_range(0..2 * n);
-            for _ in 0..burst {
-                let to = PartyId(rng.gen_range(0..n));
-                let v = values[rng.gen_range(0..values.len())].clone();
-                let leader = PartyId(rng.gen_range(0..n));
-                let msg = match rng.gen_range(0..3) {
-                    0 => GcMsg::Lead(v),
-                    1 => GcMsg::Echo(leader, v),
-                    _ => GcMsg::Vote(leader, v),
-                };
-                ctx.send(p, to, msg);
-            }
+        match strategy {
+            Strategy::Spray => spray(ctx, &mut rng, &bad, &values),
+            Strategy::Colliding => colliding(ctx, &mut rng, &bad),
         }
     }
 }
 
-fn check_gradecast_properties(n: usize, t: usize, num_bad: usize, seed: u64) {
+fn check_gradecast_properties(n: usize, t: usize, num_bad: usize, seed: u64, strategy: Strategy) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xABCD);
     // Pick corrupted set.
     let mut ids: Vec<usize> = (0..n).collect();
@@ -60,11 +159,12 @@ fn check_gradecast_properties(n: usize, t: usize, num_bad: usize, seed: u64) {
         t,
         max_rounds: 10,
     };
-    let adv = ScriptedAdversary(chaos(bad.clone(), seed, (0u64..5).collect()));
+    let values = vec![0, 1, 2, 3, 4, X, X2];
+    let adv = ScriptedAdversary(chaos(bad.clone(), seed, strategy, values));
     let inputs: Vec<u64> = (0..n).map(|i| 100 + i as u64).collect();
     let report = run_simulation(
         cfg,
-        |id, nn| GradecastProtocol::new(id, nn, t, inputs[id.index()]),
+        |id, nn| BatchGradecastProtocol::new(id, nn, t, inputs[id.index()]),
         adv,
     )
     .unwrap();
@@ -112,18 +212,36 @@ proptest! {
 
     #[test]
     fn properties_hold_under_chaos_n4(seed in any::<u64>()) {
-        check_gradecast_properties(4, 1, 1, seed);
+        check_gradecast_properties(4, 1, 1, seed, Strategy::Spray);
     }
 
     #[test]
     fn properties_hold_under_chaos_n7(seed in any::<u64>(), bad in 0usize..=2) {
-        check_gradecast_properties(7, 2, bad, seed);
+        check_gradecast_properties(7, 2, bad, seed, Strategy::Spray);
     }
 
     #[test]
     fn properties_hold_under_chaos_n10(seed in any::<u64>(), bad in 0usize..=3) {
-        check_gradecast_properties(10, 3, bad, seed);
+        check_gradecast_properties(10, 3, bad, seed, Strategy::Spray);
     }
+
+    #[test]
+    fn properties_hold_under_colliding_equivocation_n7(seed in any::<u64>(), bad in 1usize..=2) {
+        check_gradecast_properties(7, 2, bad, seed, Strategy::Colliding);
+    }
+
+    #[test]
+    fn properties_hold_under_colliding_equivocation_n10(seed in any::<u64>(), bad in 1usize..=3) {
+        check_gradecast_properties(10, 3, bad, seed, Strategy::Colliding);
+    }
+}
+
+/// Slots for leader 0 only, out of 7: the Byzantine parties relay
+/// nothing else, which the honest leaders' five honest echoes absorb.
+fn only_leader0<T>(entry: T) -> Arc<GcSlots<T>> {
+    let mut slots: Vec<Option<T>> = (0..7).map(|_| None).collect();
+    slots[0] = Some(entry);
+    Arc::new(GcSlots::from_options(slots))
 }
 
 /// A targeted (non-random) split adversary engineering a {0,1} grade split:
@@ -140,15 +258,15 @@ fn engineered_grade_split_zero_one() {
         t,
         max_rounds: 10,
     };
-    let adv = ScriptedAdversary(move |ctx: &mut AdversaryCtx<'_, GcMsg<u64>>| {
+    let adv = ScriptedAdversary(move |ctx: &mut AdversaryCtx<'_, Msg>| {
         match ctx.round() {
             1 => {
                 ctx.corrupt(PartyId(0)).unwrap();
                 ctx.corrupt(PartyId(1)).unwrap();
-                // Lead 7 to honest parties 2,3,4 only (3 = n - 2t - ... the
-                // point: only 3 honest echoes will exist).
+                // Lead 7 to honest parties 2,3,4 only: only 3 honest
+                // echoes will exist.
                 for i in 2..=4 {
-                    ctx.send(PartyId(0), PartyId(i), GcMsg::Lead(7));
+                    ctx.send(PartyId(0), PartyId(i), GcBatchMsg::Lead(7));
                 }
             }
             2 => {
@@ -156,7 +274,7 @@ fn engineered_grade_split_zero_one() {
                 // party 2 only: parties 2,3,4 echo (3 honest echoes reach
                 // everyone); p0+p1 echo only to party 2.
                 for b in [0, 1] {
-                    ctx.send(PartyId(b), PartyId(2), GcMsg::Echo(PartyId(0), 7));
+                    ctx.send(PartyId(b), PartyId(2), GcBatchMsg::Echoes(only_leader0(7)));
                 }
             }
             3 => {
@@ -165,8 +283,10 @@ fn engineered_grade_split_zero_one() {
                 // to 3 votes = grade 1 while 4,5,6 see a single vote ->
                 // grade 0.
                 for b in [0, 1] {
-                    ctx.send(PartyId(b), PartyId(2), GcMsg::Vote(PartyId(0), 7));
-                    ctx.send(PartyId(b), PartyId(3), GcMsg::Vote(PartyId(0), 7));
+                    for to in [2, 3] {
+                        let vote = GcBatchMsg::Votes(only_leader0(7u64.hash32()));
+                        ctx.send(PartyId(b), PartyId(to), vote);
+                    }
                 }
             }
             _ => {}
@@ -174,7 +294,7 @@ fn engineered_grade_split_zero_one() {
     });
     let report = run_simulation(
         cfg,
-        |id, nn| GradecastProtocol::new(id, nn, t, id.index() as u64),
+        |id, nn| BatchGradecastProtocol::new(id, nn, t, id.index() as u64),
         adv,
     )
     .unwrap();
@@ -206,7 +326,7 @@ fn grade_semantics_hold_under_equivocation() {
         let inputs: Vec<u64> = (0..n).map(|i| 100 + i as u64).collect();
         let report = run_simulation(
             cfg,
-            |id, nn| GradecastProtocol::new(id, nn, t, inputs[id.index()]),
+            |id, nn| BatchGradecastProtocol::new(id, nn, t, inputs[id.index()]),
             EquivocatingAdversary::new(bad.to_vec(), seed),
         )
         .unwrap();
@@ -262,7 +382,7 @@ fn grade_semantics_hold_under_composed_equivocation_and_crash() {
         max_rounds: 10,
     };
     let inputs: Vec<u64> = (0..n).map(|i| 10 * i as u64).collect();
-    let adv: ComposedAdversary<GcMsg<u64>> = ComposedAdversary::new(vec![
+    let adv: ComposedAdversary<Msg> = ComposedAdversary::new(vec![
         Box::new(EquivocatingAdversary::new(vec![PartyId(2)], 13)),
         Box::new(CrashAdversary {
             crashes: vec![(PartyId(6), 2)],
@@ -270,7 +390,7 @@ fn grade_semantics_hold_under_composed_equivocation_and_crash() {
     ]);
     let report = run_simulation(
         cfg,
-        |id, nn| GradecastProtocol::new(id, nn, t, inputs[id.index()]),
+        |id, nn| BatchGradecastProtocol::new(id, nn, t, inputs[id.index()]),
         adv,
     )
     .unwrap();

@@ -13,9 +13,12 @@ use std::sync::Arc;
 
 use async_aa::{AsyncAaMsg, RbcMsg};
 use async_net::RelMsg;
-use gradecast::{GcBundleMsg, GcSlots};
+use gradecast::{GcBundleMsg, GcSlots, VoteKey};
 use real_aa::{BundledAaMsg, R64};
 use sim_net::PartyId;
+
+use crate::frame::MAX_FRAME;
+use crate::wire::HEADER_LEN;
 
 /// A decode failure. Carries just enough context to report which layer
 /// rejected the bytes.
@@ -333,6 +336,32 @@ impl<T: WireCodec> WireCodec for GcSlots<T> {
     }
 }
 
+impl WireCodec for VoteKey {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            VoteKey::Hash(h) => {
+                out.push(0);
+                h.encode(out);
+            }
+            VoteKey::Exact(bits) => {
+                out.push(1);
+                bits.encode(out);
+            }
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        match r.u8()? {
+            0 => Ok(VoteKey::Hash(r.u32()?)),
+            1 => Ok(VoteKey::Exact(r.u64()?)),
+            tag => Err(CodecError::BadTag {
+                what: "VoteKey",
+                tag,
+            }),
+        }
+    }
+}
+
 impl WireCodec for GcBundleMsg<R64> {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -348,6 +377,10 @@ impl WireCodec for GcBundleMsg<R64> {
                 out.push(2);
                 s.encode(out);
             }
+            GcBundleMsg::KeyedVotes(s) => {
+                out.push(3);
+                s.encode(out);
+            }
         }
     }
 
@@ -356,6 +389,22 @@ impl WireCodec for GcBundleMsg<R64> {
             0 => Ok(GcBundleMsg::Leads(Arc::new(GcSlots::decode(r)?))),
             1 => Ok(GcBundleMsg::Echoes(Arc::new(GcSlots::decode(r)?))),
             2 => Ok(GcBundleMsg::Votes(Arc::new(GcSlots::decode(r)?))),
+            3 => {
+                // Escalated votes have their own tag so hash-only vote
+                // bundles keep their bytes; a keyed bundle without an
+                // exact key would be a second encoding of a tag-2 one.
+                let s: GcSlots<GcSlots<VoteKey>> = GcSlots::decode(r)?;
+                let exact = s
+                    .iter()
+                    .flat_map(|(_, inner)| inner.iter())
+                    .any(|(_, k)| matches!(k, VoteKey::Exact(_)));
+                if !exact {
+                    return Err(CodecError::BadValue {
+                        what: "keyed votes without an exact key",
+                    });
+                }
+                Ok(GcBundleMsg::KeyedVotes(Arc::new(s)))
+            }
             tag => Err(CodecError::BadTag {
                 what: "GcBundleMsg",
                 tag,
@@ -375,6 +424,76 @@ impl WireCodec for BundledAaMsg {
         let body = GcBundleMsg::decode(r)?;
         Ok(BundledAaMsg { iter, body })
     }
+}
+
+/// Frame payload bytes of the largest message a `Reliable<BundledAaParty>`
+/// node sends for `k` instances over `n` parties: a Data envelope whose
+/// vote bundle has every instance voting for every leader by exact key
+/// (the escalated form, the widest per-leader entry on the wire).
+#[must_use]
+pub fn bundle_frame_bytes(n: usize, k: usize) -> usize {
+    // Per instance: slot count + bitmap + (kind byte + u64) per leader.
+    let inner = 4 + n.div_ceil(8) + 9 * n;
+    // Bundle tag + outer slot count + outer bitmap + instances.
+    let bundle = (1 + 4 + k.div_ceil(8)).saturating_add(k.saturating_mul(inner));
+    // RelMsg tag + seq + iteration, inside the envelope header and MAC.
+    (HEADER_LEN + 1 + 8 + 4 + 8).saturating_add(bundle)
+}
+
+/// A bundle size whose worst-case frame exceeds [`MAX_FRAME`]: no node
+/// could send its escalated vote bundle, so deployments reject it up
+/// front instead of failing mid-run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct OversizedBundle {
+    /// Parties.
+    pub n: usize,
+    /// Requested instances.
+    pub k: usize,
+    /// [`bundle_frame_bytes`] for `(n, k)`.
+    pub frame_bytes: usize,
+    /// The largest bundle that fits at this `n`.
+    pub max_k: usize,
+}
+
+impl fmt::Display for OversizedBundle {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "a bundle of k = {} instances at n = {} can need a {}-byte frame, over the \
+             {MAX_FRAME}-byte limit; at most k = {} fits",
+            self.k, self.n, self.frame_bytes, self.max_k
+        )
+    }
+}
+
+impl std::error::Error for OversizedBundle {}
+
+/// Checks that every frame a `k`-instance bundle over `n` parties can
+/// produce fits in [`MAX_FRAME`].
+///
+/// # Errors
+///
+/// [`OversizedBundle`] with the largest `k` that fits, otherwise.
+pub fn check_bundle_frame(n: usize, k: usize) -> Result<(), OversizedBundle> {
+    let frame_bytes = bundle_frame_bytes(n, k);
+    if frame_bytes <= MAX_FRAME {
+        return Ok(());
+    }
+    let (mut lo, mut hi) = (0, k);
+    while lo < hi {
+        let mid = lo + (hi - lo).div_ceil(2);
+        if bundle_frame_bytes(n, mid) <= MAX_FRAME {
+            lo = mid;
+        } else {
+            hi = mid - 1;
+        }
+    }
+    Err(OversizedBundle {
+        n,
+        k,
+        frame_bytes,
+        max_k: lo,
+    })
 }
 
 impl<M: WireCodec> WireCodec for RelMsg<M> {
@@ -542,12 +661,134 @@ mod tests {
     }
 
     #[test]
+    fn keyed_vote_bundles_roundtrip_under_their_own_tag() {
+        let keyed = GcBundleMsg::<R64>::KeyedVotes(Arc::new(slots(&[
+            Some(slots(&[
+                Some(VoteKey::Exact(u64::MAX)),
+                None,
+                Some(VoteKey::Hash(9)),
+            ])),
+            None,
+            Some(slots(&[None, Some(VoteKey::Hash(0)), None])),
+        ])));
+        roundtrip(keyed.clone());
+        assert_eq!(keyed.to_bytes()[0], 3);
+        roundtrip(RelMsg::Data {
+            seq: 1,
+            inner: BundledAaMsg {
+                iter: 4,
+                body: keyed,
+            },
+        });
+        // A hash-only vote bundle keeps tag 2 and 4-byte entries.
+        let hashed = GcBundleMsg::<R64>::Votes(Arc::new(slots(&[Some(slots(&[Some(9u32)]))])));
+        assert_eq!(
+            hashed.to_bytes(),
+            [2, 1, 0, 0, 0, 1, 1, 0, 0, 0, 1, 9, 0, 0, 0]
+        );
+    }
+
+    #[test]
+    fn keyed_vote_bundles_reject_malformed_bytes() {
+        // A keyed bundle of hash keys only is a second encoding of a
+        // tag-2 bundle: non-canonical, so rejected.
+        let hash_only = GcBundleMsg::<R64>::KeyedVotes(Arc::new(slots(&[Some(slots(&[Some(
+            VoteKey::Hash(9),
+        )]))])));
+        assert_eq!(
+            GcBundleMsg::<R64>::from_bytes(&hash_only.to_bytes()),
+            Err(CodecError::BadValue {
+                what: "keyed votes without an exact key"
+            })
+        );
+        // Unknown key kind.
+        let mut bytes = GcBundleMsg::<R64>::KeyedVotes(Arc::new(slots(&[Some(slots(&[Some(
+            VoteKey::Exact(1),
+        )]))])))
+        .to_bytes();
+        let kind = bytes.len() - 9;
+        assert_eq!(bytes[kind], 1);
+        bytes[kind] = 2;
+        assert_eq!(
+            GcBundleMsg::<R64>::from_bytes(&bytes),
+            Err(CodecError::BadTag {
+                what: "VoteKey",
+                tag: 2
+            })
+        );
+        // An exact key cut short.
+        bytes[kind] = 1;
+        bytes.pop();
+        assert_eq!(
+            GcBundleMsg::<R64>::from_bytes(&bytes),
+            Err(CodecError::Truncated)
+        );
+    }
+
+    /// The worst-case frame of a `(n, k)` bundle, actually encoded: a
+    /// Data envelope around a vote bundle with every vote exact.
+    fn worst_case_frame(n: usize, k: usize) -> Vec<u8> {
+        let inner = slots(&vec![Some(VoteKey::Exact(u64::MAX)); n]);
+        let body = RelMsg::Data {
+            seq: u64::MAX,
+            inner: BundledAaMsg {
+                iter: u32::MAX,
+                body: GcBundleMsg::KeyedVotes(Arc::new(slots(&vec![Some(inner); k]))),
+            },
+        };
+        crate::WrapperMsg {
+            kind: crate::FrameKind::Data,
+            from: 0,
+            to: 1,
+            wire_seq: 0,
+            lseq: 0,
+            vsend: 0.0,
+            vdeliver: 0.0,
+            body: body.to_bytes(),
+            mac: 0,
+        }
+        .encode()
+    }
+
+    #[test]
+    fn bundle_frame_bound_matches_the_encoding() {
+        for (n, k) in [(1, 1), (4, 1), (4, 9), (7, 3), (13, 17)] {
+            assert_eq!(
+                worst_case_frame(n, k).len(),
+                bundle_frame_bytes(n, k),
+                "n {n} k {k}"
+            );
+        }
+    }
+
+    #[test]
+    fn bundles_are_checked_at_the_frame_boundary() {
+        let n = 4;
+        let err = check_bundle_frame(n, 30_000).unwrap_err();
+        let max_k = err.max_k;
+        assert_eq!(check_bundle_frame(n, max_k), Ok(()));
+        assert_eq!(
+            check_bundle_frame(n, max_k + 1).unwrap_err(),
+            OversizedBundle {
+                n,
+                k: max_k + 1,
+                frame_bytes: bundle_frame_bytes(n, max_k + 1),
+                max_k,
+            }
+        );
+        // The real encodings straddle the limit exactly there.
+        assert!(worst_case_frame(n, max_k).len() <= MAX_FRAME);
+        assert!(worst_case_frame(n, max_k + 1).len() > MAX_FRAME);
+        assert!(err.to_string().contains(&format!("at most k = {max_k}")));
+    }
+
+    #[test]
     fn bundle_tags_are_checked() {
         assert_eq!(
-            GcBundleMsg::<R64>::from_bytes(&[3]),
+            GcBundleMsg::<R64>::from_bytes(&[4]),
             Err(CodecError::BadTag {
                 what: "GcBundleMsg",
-                tag: 3
+                tag: 4
             })
         );
         assert_eq!(

@@ -44,7 +44,9 @@ impl std::error::Error for FrameError {}
 /// # Panics
 ///
 /// Panics if `payload` exceeds [`MAX_FRAME`] — encoders construct frames
-/// locally and never legitimately approach the cap.
+/// locally and never legitimately approach the cap (bundle deployments
+/// bound their largest frame up front with
+/// [`check_bundle_frame`](crate::check_bundle_frame)).
 #[must_use]
 pub fn frame(payload: &[u8]) -> Vec<u8> {
     assert!(payload.len() <= MAX_FRAME, "oversized outgoing frame");

@@ -48,7 +48,9 @@ pub use cluster::{
     node_config, run_local_cluster, run_local_cluster_opts, ClusterChaos, ClusterOpts,
     ClusterReport,
 };
-pub use codec::{CodecError, Reader, WireCodec};
+pub use codec::{
+    bundle_frame_bytes, check_bundle_frame, CodecError, OversizedBundle, Reader, WireCodec,
+};
 pub use frame::{frame, FrameBuffer, FrameError, MAX_FRAME, PREFIX_LEN};
 pub use gate::{differential_gate, proto_fingerprint, GateCase, ReferenceRun};
 pub use mac::{pair_key, siphash24, MacKey};

@@ -30,7 +30,7 @@ fn main() {
     for _ in 0..iters {
         let s = Instant::now();
         for gc in &mut gcs {
-            gc.reset_with_muted(&muted);
+            gc.reset_with_muted(muted.iter().map(Vec::as_slice));
         }
         t_reset += s.elapsed().as_secs_f64();
 

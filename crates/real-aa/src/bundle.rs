@@ -1,7 +1,7 @@
 //! The bundled `RealAA` party: k in-flight instances over one wire.
 //!
-//! [`RealAaBatchParty`](crate::RealAaBatchParty) amortizes gradecast
-//! framing across the n *leaders* of one AA instance;
+//! [`RealAaParty`](crate::RealAaParty) amortizes gradecast framing
+//! across the n *leaders* of one AA instance;
 //! [`BundledAaParty`] amortizes it across k concurrent *instances* as
 //! well. Every round each party broadcasts **one**
 //! [`GcBundleMsg`] whose outer slots range over instances (absent =
@@ -13,8 +13,8 @@
 //!
 //! Instance `j` of a bundle is driven by its own
 //! [`BatchGradecast`](gradecast::BatchGradecast) core and its own
-//! muted set, value, history, and early-stopping state, all fed through
-//! the literal [`apply_iteration`] shared with the standalone parties.
+//! muted set, value, and early-stopping state, all fed through
+//! the literal iteration rule of the standalone party.
 //! The differential suite in `tests/bundle_equiv.rs` checks the
 //! resulting guarantee end to end: outputs, round counts, hull
 //! trajectories, and per-instance trace events (keyed by the `inst`
@@ -40,14 +40,13 @@ use async_net::{AsyncCtx, AsyncProtocol};
 use gradecast::{BundleGradecast, GcBundleMsg, GradecastOutput};
 use sim_net::{Envelope, Inbox, PartyId, Payload, Protocol, Received, RoundCtx};
 
-use crate::real_aa::{apply_iteration_into, RealAaConfig};
+use crate::real_aa::{Instance, RealAaConfig, Scratch};
 use crate::value::R64;
 
 pub use gradecast::BundleError;
 
 /// A bundled `RealAA` wire message: a gradecast bundle tagged with its
-/// iteration, exactly like the batched wire's
-/// [`RealAaBatchMsg`](crate::RealAaBatchMsg).
+/// iteration, exactly like [`RealAaMsg`](crate::RealAaMsg).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BundledAaMsg {
     /// Iteration index (0-based).
@@ -74,28 +73,24 @@ fn wire_round(msg: &BundledAaMsg) -> u32 {
         + match msg.body {
             GcBundleMsg::Leads(_) => 1,
             GcBundleMsg::Echoes(_) => 2,
-            GcBundleMsg::Votes(_) => 3,
+            GcBundleMsg::Votes(_) | GcBundleMsg::KeyedVotes(_) => 3,
         }
 }
 
 /// One party running k bundled `RealAA(ε)` instances in lockstep.
 ///
 /// All instances share the configuration and the round schedule of
-/// [`RealAaBatchParty`](crate::RealAaBatchParty) — iteration `i`
-/// occupies rounds `3i+1..=3i+3` — but each advances its own value,
-/// muted set, and (with [`RealAaConfig::early_stopping`]) its own
-/// termination round. The party outputs once every instance has.
+/// [`RealAaParty`](crate::RealAaParty) — iteration `i` occupies rounds
+/// `3i+1..=3i+3` — but each advances its own value, muted set, and (with
+/// [`RealAaConfig::early_stopping`]) its own termination round. The party
+/// outputs once every instance has.
 #[derive(Clone, Debug)]
 pub struct BundledAaParty {
     cfg: RealAaConfig,
     me: PartyId,
-    values: Vec<f64>,
-    muted: Vec<Vec<bool>>,
+    instances: Vec<Instance>,
     gc: BundleGradecast<R64>,
     iterations_done: u32,
-    outputs: Vec<Option<f64>>,
-    last_accepted_spread: Vec<f64>,
-    histories: Vec<Vec<f64>>,
     output: Option<Vec<f64>>,
     /// Async adapter: the last round stepped (0 before `on_start`).
     async_round: u32,
@@ -106,10 +101,7 @@ pub struct BundledAaParty {
     /// instances; allocating k vectors per iteration dominates the
     /// amortized throughput at large k).
     grade_buf: Vec<GradecastOutput<R64>>,
-    /// Reused multiset scratch for [`apply_iteration_into`].
-    multiset_buf: Vec<f64>,
-    /// Reused accepted-values scratch for [`apply_iteration_into`].
-    accepted_buf: Vec<f64>,
+    scratch: Scratch,
 }
 
 impl BundledAaParty {
@@ -130,59 +122,29 @@ impl BundledAaParty {
             "honest inputs must be finite"
         );
         assert!(me.index() < cfg.n, "party id out of range");
-        let k = inputs.len();
-        let muted = vec![vec![false; cfg.n]; k];
-        let gc = BundleGradecast::with_muted(me, cfg.n, cfg.t, muted.clone())?;
+        let gc = BundleGradecast::new(me, cfg.n, cfg.t, inputs.len())?;
         Ok(BundledAaParty {
             cfg,
             me,
-            histories: inputs.iter().map(|&v| vec![v]).collect(),
-            values: inputs,
-            muted,
+            instances: inputs.iter().map(|&v| Instance::new(cfg.n, v)).collect(),
             gc,
             iterations_done: 0,
-            outputs: vec![None; k],
-            last_accepted_spread: vec![f64::INFINITY; k],
             output: None,
             async_round: 0,
             async_buf: BTreeMap::new(),
             grade_buf: Vec::new(),
-            multiset_buf: Vec::new(),
-            accepted_buf: Vec::new(),
+            scratch: Scratch::default(),
         })
     }
 
     /// Number of bundled instances.
     pub fn k(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Current values, one per instance.
-    pub fn current_values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Instance `inst`'s value trajectory (`[0]` = input).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inst >= k`.
-    pub fn history(&self, inst: usize) -> &[f64] {
-        &self.histories[inst]
-    }
-
-    /// How many parties instance `inst` has muted so far.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inst >= k`.
-    pub fn muted_count(&self, inst: usize) -> usize {
-        self.muted[inst].iter().filter(|&&m| m).count()
+        self.instances.len()
     }
 
     /// Which instances are still running here.
     fn active(&self) -> Vec<bool> {
-        self.outputs.iter().map(Option::is_none).collect()
+        self.instances.iter().map(|i| i.output.is_none()).collect()
     }
 
     fn finish_iteration(
@@ -197,94 +159,47 @@ impl BundledAaParty {
                 .filter(|e| e.payload.iter == iter_tag)
                 .map(|e| (e.from, &e.payload.body)),
         );
-        // Grade instance by instance into reused scratch buffers — the
-        // same grades, events, and numeric updates `on_votes` plus
-        // `apply_iteration` would produce, without per-instance
+        // Grade instance by instance into a reused buffer — the same
+        // grades `on_votes` would produce, without per-instance
         // allocations.
-        let mut outputs_buf = std::mem::take(&mut self.grade_buf);
-        let mut multiset = std::mem::take(&mut self.multiset_buf);
-        let mut accepted = std::mem::take(&mut self.accepted_buf);
-        for inst in 0..self.k() {
-            if self.outputs[inst].is_some() {
+        for (inst, state) in self.instances.iter_mut().enumerate() {
+            if state.output.is_some() {
                 continue;
             }
-            self.gc.core(inst).grade_into(&mut outputs_buf);
-            let outputs = &outputs_buf;
-            for (leader, out) in outputs.iter().enumerate() {
-                ctx.emit_with(|| {
-                    let mut ev = sim_net::ProtoEvent::new("gc.grade")
-                        .u64("iter", u64::from(iter_tag))
-                        .u64("inst", inst as u64)
-                        .u64("leader", leader as u64)
-                        .u64("grade", u64::from(out.grade.as_u8()));
-                    if let Some(v) = out.value {
-                        ev = ev.f64("value", v.get());
-                    }
-                    ev
-                });
-            }
-            let outcome = apply_iteration_into(
+            self.gc.core(inst).grade_into(&mut self.grade_buf);
+            state.finish_iteration(
                 &self.cfg,
-                outputs,
-                &mut self.muted[inst],
-                &mut multiset,
-                &mut accepted,
+                &self.grade_buf,
+                iter_tag,
+                Some(inst),
+                ctx,
+                &mut self.scratch,
             );
-            self.last_accepted_spread[inst] = if outcome.accepted_lo.is_finite() {
-                outcome.accepted_hi - outcome.accepted_lo
-            } else {
-                f64::INFINITY
-            };
-            if let Some(mean) = outcome.new_value {
-                self.values[inst] = mean;
-            }
-            self.histories[inst].push(self.values[inst]);
-            ctx.emit_with(|| {
-                let mut ev = sim_net::ProtoEvent::new("realaa.iter")
-                    .u64("iter", u64::from(iter_tag))
-                    .u64("inst", inst as u64);
-                if outcome.accepted_lo.is_finite() {
-                    ev = ev
-                        .f64("lo", outcome.accepted_lo)
-                        .f64("hi", outcome.accepted_hi)
-                        .f64("spread", outcome.accepted_hi - outcome.accepted_lo);
-                }
-                ev.f64("value", self.values[inst])
-            });
         }
-        self.grade_buf = outputs_buf;
-        self.multiset_buf = multiset;
-        self.accepted_buf = accepted;
         self.iterations_done += 1;
     }
 
     /// Applies each running instance's termination rule; returns true
     /// when the whole bundle has output.
     fn maybe_terminate(&mut self) -> bool {
-        let fixed_done = self.iterations_done >= self.cfg.iterations();
-        for inst in 0..self.k() {
-            if self.outputs[inst].is_some() {
-                continue;
-            }
-            let early = self.cfg.early_stopping
-                && self.iterations_done >= 1
-                && self.last_accepted_spread[inst] <= self.cfg.eps;
-            if fixed_done || early {
-                self.outputs[inst] = Some(self.values[inst]);
-            }
+        let schedule_done = self.iterations_done >= self.cfg.iterations();
+        let mut all = true;
+        for state in &mut self.instances {
+            all &= state.maybe_terminate(&self.cfg, schedule_done);
         }
-        if self.outputs.iter().all(Option::is_some) {
-            self.output = Some(self.outputs.iter().map(|o| o.expect("all some")).collect());
-            true
-        } else {
-            false
+        if all {
+            self.output = Some(self.instances.iter().map(|i| i.value).collect());
         }
+        all
     }
 
     fn start_iteration(&mut self, ctx: &mut RoundCtx<BundledAaMsg>, iter_tag: u32) {
-        self.gc.reset_with_muted(&self.muted);
-        let leads = (0..self.k())
-            .map(|j| self.outputs[j].is_none().then(|| R64::new(self.values[j])))
+        self.gc
+            .reset_with_muted(self.instances.iter().map(|i| i.muted.as_slice()));
+        let leads = self
+            .instances
+            .iter()
+            .map(|i| i.output.is_none().then(|| R64::new(i.value)))
             .collect();
         ctx.broadcast(BundledAaMsg {
             iter: iter_tag,
@@ -301,15 +216,10 @@ impl Protocol for BundledAaParty {
         if self.output.is_some() {
             return;
         }
-        if round == 1 && self.cfg.iterations() == 0 {
-            self.output = Some(self.values.clone());
-            return;
-        }
-        if round > self.cfg.rounds() + 1 {
-            let finals = (0..self.k())
-                .map(|j| self.outputs[j].unwrap_or(self.values[j]))
-                .collect();
-            self.output = Some(finals);
+        if (round == 1 && self.cfg.iterations() == 0) || round > self.cfg.rounds() + 1 {
+            // As in `RealAaParty`: inputs already ε-close, or past the
+            // schedule. A terminated instance's value is its output.
+            self.output = Some(self.instances.iter().map(|i| i.value).collect());
             return;
         }
         let phase = (round - 1) % 3;
@@ -457,7 +367,7 @@ mod tests {
     }
 
     #[test]
-    fn bundle_of_one_matches_the_batched_party() {
+    fn bundle_of_one_matches_the_solo_party() {
         let cfg = cfg(7, 2);
         let inputs = [2.0, 9.0, 5.0, 7.0, 3.0, 8.0, 4.0];
         let bundled: Vec<Vec<f64>> =
@@ -468,7 +378,7 @@ mod tests {
                 t: 2,
                 max_rounds: 10 + cfg.rounds(),
             },
-            |id, _| crate::RealAaBatchParty::new(id, cfg, inputs[id.index()]),
+            |id, _| crate::RealAaParty::new(id, cfg, inputs[id.index()]),
             Passive,
         )
         .unwrap();
@@ -535,6 +445,129 @@ mod tests {
             let spread = vals.iter().cloned().fold(f64::MIN, f64::max)
                 - vals.iter().cloned().fold(f64::MAX, f64::min);
             assert!(spread <= cfg.eps, "instance {inst} spread {spread}");
+        }
+    }
+
+    /// Two finite reals whose vote hashes collide (birthday search over
+    /// multiples of 2^-20 in `[0, 10)`).
+    const X: f64 = 0.095_054_626_464_843_75;
+    const X2: f64 = 0.102_589_607_238_769_53;
+
+    /// Rewrites a bundle for instance 0, leader 0: echo slots get `echo`,
+    /// vote slots the hash of `vote`.
+    fn override_leader0(body: &GcBundleMsg<R64>, echo: R64, vote: R64) -> GcBundleMsg<R64> {
+        use gradecast::{GcSlots, GcValue, VoteKey};
+        use std::sync::Arc;
+        fn set<T: Clone>(outer: &GcSlots<GcSlots<T>>, entry: T) -> Arc<GcSlots<GcSlots<T>>> {
+            let inner: Vec<Option<GcSlots<T>>> = (0..outer.n())
+                .map(|j| {
+                    let slots = outer.iter().find(|&(i, _)| i == j)?.1;
+                    let mut opts: Vec<Option<T>> = vec![None; slots.n()];
+                    for (l, v) in slots.iter() {
+                        opts[l] = Some(v.clone());
+                    }
+                    if j == 0 {
+                        opts[0] = Some(entry.clone());
+                    }
+                    Some(GcSlots::from_options(opts))
+                })
+                .collect();
+            Arc::new(GcSlots::from_options(inner))
+        }
+        match body {
+            GcBundleMsg::Leads(_) => body.clone(),
+            GcBundleMsg::Echoes(outer) => GcBundleMsg::Echoes(set(outer, echo)),
+            GcBundleMsg::Votes(outer) => GcBundleMsg::Votes(set(outer, vote.hash32())),
+            GcBundleMsg::KeyedVotes(outer) => {
+                GcBundleMsg::KeyedVotes(set(outer, VoteKey::Hash(vote.hash32())))
+            }
+        }
+    }
+
+    /// The colliding-hash attack of the gradecast tests, driven through
+    /// the bundle: Byzantine leader 0 leads x to {2, 3, 4} and x′ to
+    /// {5, 6} in instance 0; Byzantine parties 0 and 1 echo x′ to party 6
+    /// only and x to everyone else, and vote hash(x). Every honest party
+    /// must grade leader 0 with the same value.
+    #[test]
+    fn binding_holds_under_colliding_vote_hashes() {
+        use gradecast::{GcSlots, GcValue};
+        use sim_net::{
+            run_simulation_traced, AdversaryCtx, EngineConfig, EventKind, StaticByzantine,
+        };
+        use std::sync::Arc;
+
+        let (x, x2) = (R64::new(X), R64::new(X2));
+        assert_eq!(x.hash32(), x2.hash32());
+        let cfg = cfg(7, 2);
+        let adv = StaticByzantine {
+            parties: vec![PartyId(0), PartyId(1)],
+            behave: |ctx: &mut AdversaryCtx<'_, BundledAaMsg>| {
+                if ctx.round() > 3 {
+                    ctx.forward(PartyId(0));
+                    ctx.forward(PartyId(1));
+                    return;
+                }
+                if ctx.round() == 1 {
+                    ctx.forward(PartyId(1));
+                    for to in 2..7 {
+                        let lead = if to >= 5 { x2 } else { x };
+                        let body = GcBundleMsg::Leads(Arc::new(GcSlots::from_options(vec![
+                            Some(lead),
+                            Some(R64::new(1.0)),
+                        ])));
+                        ctx.send(PartyId(0), PartyId(to), BundledAaMsg { iter: 0, body });
+                    }
+                    return;
+                }
+                for b in [PartyId(0), PartyId(1)] {
+                    let tentative = ctx.tentative_outbox(b).broadcasts().to_vec();
+                    for to in 0..7 {
+                        let echo = if to == 6 { x2 } else { x };
+                        for msg in &tentative {
+                            let body = override_leader0(&msg.body, echo, x);
+                            ctx.send(b, PartyId(to), BundledAaMsg { iter: 0, body });
+                        }
+                    }
+                }
+            },
+        };
+        let inputs: Vec<Vec<f64>> = (0..7).map(|p| vec![p as f64, 1.0]).collect();
+        let (_, trace) = run_simulation_traced(
+            EngineConfig::from(SimConfig {
+                n: 7,
+                t: 2,
+                max_rounds: 10 + cfg.rounds(),
+            }),
+            |id, _| BundledAaParty::new(id, cfg, inputs[id.index()].clone()).unwrap(),
+            adv,
+        )
+        .unwrap();
+        let grades: Vec<(usize, u64, Option<f64>)> = trace
+            .events
+            .iter()
+            .filter_map(|e| match &e.kind {
+                EventKind::Proto { party, event }
+                    if *party >= 2
+                        && event.label == "gc.grade"
+                        && event.field("iter").and_then(|v| v.as_u64()) == Some(0)
+                        && event.field("inst").and_then(|v| v.as_u64()) == Some(0)
+                        && event.field("leader").and_then(|v| v.as_u64()) == Some(0) =>
+                {
+                    let value = match event.field("value") {
+                        Some(aa_trace::Json::Num(v)) => Some(*v),
+                        _ => None,
+                    };
+                    let grade = event.field("grade").and_then(|v| v.as_u64())?;
+                    Some((*party, grade, value))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(grades.len(), 5, "{grades:?}");
+        for &(party, grade, value) in &grades {
+            assert!(grade >= 1, "party {party} rejected leader 0: {grades:?}");
+            assert_eq!(value, Some(X), "party {party}: {grades:?}");
         }
     }
 

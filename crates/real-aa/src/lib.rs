@@ -14,7 +14,8 @@
 //! The protocol runs a fixed number of 3-round iterations (the count is the
 //! publicly computable [`iterations_for`]). In each iteration every party
 //! gradecasts its current value; all `n` gradecasts share the iteration's
-//! three rounds (see the [`gradecast`] crate). A party then
+//! three rounds, each round one batched message per sender covering every
+//! instance (see the [`gradecast`] crate). A party then
 //!
 //! 1. **accepts** every value with grade ≥ 1 into a multiset (acceptance is
 //!    purely grade-based);
@@ -39,6 +40,8 @@
 //!
 //! * [`RealAaParty`] — the protocol, fixed-round or with sound early
 //!   stopping ([`RealAaConfig::early_stopping`]);
+//! * [`BundledAaParty`] — k concurrent instances sharing one message per
+//!   round, instance for instance identical to k [`RealAaParty`] runs;
 //! * [`IteratedAaParty`] — the classic `O(log(D/ε))`-round
 //!   trim-and-halve baseline of Dolev et al., for the comparisons in the
 //!   paper's introduction;
@@ -71,7 +74,6 @@
 
 #![warn(missing_docs)]
 pub mod adversary;
-mod batch;
 mod bundle;
 mod iterated;
 mod multiset;
@@ -79,10 +81,12 @@ mod real_aa;
 mod rounds;
 mod value;
 
-pub use batch::{RealAaBatchMsg, RealAaBatchParty};
 pub use bundle::{BundleError, BundledAaMsg, BundledAaParty};
 pub use iterated::{IteratedAaConfig, IteratedAaParty, PlainValueMsg};
 pub use multiset::{trimmed, trimmed_mean, trimmed_midpoint};
+/// [`RealAaParty`] under the name the standalone `perfbench` benchmark
+/// imports for its single-instance reference runs.
+pub use real_aa::RealAaParty as RealAaBatchParty;
 pub use real_aa::{RealAaConfig, RealAaMsg, RealAaParty};
 pub use rounds::{halving_iterations, iterations_for, rounds_bound};
 pub use value::R64;

@@ -14,21 +14,16 @@
 
 use real_aa::{
     halving_iterations, iterations_for, IteratedAaConfig, IteratedAaParty, PlainValueMsg,
-    RealAaBatchMsg, RealAaBatchParty, RealAaConfig, RealAaMsg, RealAaParty,
+    RealAaConfig, RealAaMsg, RealAaParty,
 };
 use sim_net::{step_standalone, Inbox, Outbox, PartyId, Payload, Received, RoundCtx};
 
 /// Which real-valued AA protocol powers the reduction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum EngineKind {
-    /// Gradecast-based `RealAA` (round-optimal; the paper's choice).
+    /// Gradecast-based `RealAA` (round-optimal; the paper's choice), one
+    /// batched broadcast per sender per round.
     Gradecast,
-    /// `RealAA` over the batched gradecast wire
-    /// ([`real_aa::RealAaBatchParty`]): the same round schedule and
-    /// outputs as [`EngineKind::Gradecast`], but one slot-vector
-    /// broadcast per sender per round instead of `n` per-leader
-    /// messages — O(n²) deliveries per round.
-    GradecastBatched,
     /// Classic halving iteration (the `O(log δ)` baseline).
     Halving,
 }
@@ -42,7 +37,7 @@ pub enum EngineKind {
 /// underlying formulas).
 pub fn engine_rounds(kind: EngineKind, d: f64, eps: f64) -> u32 {
     match kind {
-        EngineKind::Gradecast | EngineKind::GradecastBatched => 3 * iterations_for(d, eps),
+        EngineKind::Gradecast => 3 * iterations_for(d, eps),
         EngineKind::Halving => halving_iterations(d, eps),
     }
 }
@@ -53,8 +48,6 @@ pub fn engine_rounds(kind: EngineKind, d: f64, eps: f64) -> u32 {
 pub enum InnerMsg {
     /// Gradecast-based engine traffic.
     Real(RealAaMsg),
-    /// Batched-gradecast engine traffic.
-    RealBatch(RealAaBatchMsg),
     /// Halving engine traffic.
     Plain(PlainValueMsg),
 }
@@ -63,7 +56,6 @@ impl Payload for InnerMsg {
     fn size_bytes(&self) -> usize {
         1 + match self {
             InnerMsg::Real(m) => m.size_bytes(),
-            InnerMsg::RealBatch(m) => m.size_bytes(),
             InnerMsg::Plain(m) => m.size_bytes(),
         }
     }
@@ -76,8 +68,6 @@ pub enum InnerAa {
     /// Gradecast-based `RealAA` instance (boxed: it carries per-leader
     /// tallies and dwarfs the halving variant).
     Real(Box<RealAaParty>),
-    /// `RealAA` over the batched wire (boxed for the same reason).
-    RealBatch(Box<RealAaBatchParty>),
     /// Halving-iteration instance.
     Halving(IteratedAaParty),
 }
@@ -103,10 +93,6 @@ impl InnerAa {
             EngineKind::Gradecast => {
                 let cfg = RealAaConfig::new(n, t, eps, d).expect("validated by caller");
                 InnerAa::Real(Box::new(RealAaParty::new(me, cfg, input)))
-            }
-            EngineKind::GradecastBatched => {
-                let cfg = RealAaConfig::new(n, t, eps, d).expect("validated by caller");
-                InnerAa::RealBatch(Box::new(RealAaBatchParty::new(me, cfg, input)))
             }
             EngineKind::Halving => {
                 let cfg = IteratedAaConfig::new(n, t, eps, d).expect("validated by caller");
@@ -146,22 +132,6 @@ impl InnerAa {
                 let outbox = step_standalone(p.as_mut(), me, n, local_round, &mapped);
                 rewrap(outbox, InnerMsg::Real)
             }
-            InnerAa::RealBatch(p) => {
-                let mapped = Inbox::from_messages(
-                    inbox
-                        .iter()
-                        .filter_map(|r| match &r.payload {
-                            InnerMsg::RealBatch(m) => Some(Received {
-                                from: r.from,
-                                payload: m.clone(),
-                            }),
-                            _ => None,
-                        })
-                        .collect(),
-                );
-                let outbox = step_standalone(p.as_mut(), me, n, local_round, &mapped);
-                rewrap(outbox, InnerMsg::RealBatch)
-            }
             InnerAa::Halving(p) => {
                 let mapped = Inbox::from_messages(
                     inbox
@@ -185,7 +155,6 @@ impl InnerAa {
     pub fn output(&self) -> Option<f64> {
         match self {
             InnerAa::Real(p) => sim_net::Protocol::output(p.as_ref()),
-            InnerAa::RealBatch(p) => sim_net::Protocol::output(p.as_ref()),
             InnerAa::Halving(p) => sim_net::Protocol::output(p),
         }
     }
@@ -196,7 +165,6 @@ impl InnerAa {
     pub fn current_value(&self) -> f64 {
         match self {
             InnerAa::Real(p) => p.current_value(),
-            InnerAa::RealBatch(p) => p.current_value(),
             InnerAa::Halving(p) => p.current_value(),
         }
     }
@@ -258,7 +226,7 @@ mod tests {
         assert_eq!(plain.size_bytes(), 1 + 12);
         let real = InnerMsg::Real(RealAaMsg {
             iter: 0,
-            body: gradecast::GcMsg::Lead(real_aa::R64::new(2.0)),
+            body: gradecast::GcBatchMsg::Lead(real_aa::R64::new(2.0)),
         });
         assert_eq!(real.size_bytes(), 1 + 13);
     }
@@ -301,7 +269,13 @@ mod tests {
             }),
         };
         let out = eng.step(PartyId(0), 4, 2, &Inbox::from_messages(vec![stray]));
-        // Round 2 of gradecast with no leads produces no echoes.
-        assert!(out.is_empty());
+        // Round 2 of gradecast with no leads broadcasts an empty echo
+        // batch.
+        let empty = gradecast::GcSlots::from_options(vec![None; 4]);
+        let want = InnerMsg::Real(RealAaMsg {
+            iter: 0,
+            body: gradecast::GcBatchMsg::Echoes(std::sync::Arc::new(empty)),
+        });
+        assert_eq!(out.broadcasts(), [want]);
     }
 }
