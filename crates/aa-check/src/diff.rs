@@ -26,7 +26,7 @@ use std::collections::HashMap;
 
 use async_net::{run_async, AsyncConfig, DelayModel, PassiveAsync};
 use real_aa::{RealAaConfig, RealAaParty};
-use sim_net::{run_simulation, Outcome, Passive, SimConfig};
+use sim_net::{run_simulation, FaultPlan, Outcome, Passive, SimConfig};
 use tree_aa::{EngineKind, TreeAaConfig, TreeAaParty};
 use tree_model::ProjectionTable;
 
@@ -69,6 +69,8 @@ pub fn differential(instance: &Instance, depth: usize) -> Result<(), String> {
         seed: 0,
         delay: DelayModel::Lockstep,
         max_events: honest.max_events,
+        faults: FaultPlan::none(),
+        record: false,
     };
     let aa_cfg = honest.async_cfg();
     let tree = honest.tree.clone();

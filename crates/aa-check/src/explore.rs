@@ -14,8 +14,8 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use async_aa::{AsyncTreeAaConfig, AsyncTreeAaParty};
-use async_net::{run_async_explored, AsyncConfig, AsyncReport, AsyncSimError, DelayModel};
-use sim_net::Outcome;
+use async_net::{run_async_with, AsyncConfig, AsyncReport, AsyncSimError, DelayModel};
+use sim_net::{FaultPlan, Outcome};
 use tree_model::{Tree, VertexId};
 
 use crate::lattice::{LatticeAdversary, LatticeAssignment};
@@ -106,6 +106,8 @@ pub fn execute_with(
         seed: 0,
         delay: DelayModel::Lockstep,
         max_events: instance.max_events,
+        faults: FaultPlan::none(),
+        record: false,
     };
     let aa_cfg = instance.async_cfg();
     let tree = instance.tree.clone();
@@ -114,9 +116,8 @@ pub fn execute_with(
     if let Some(group) = sym {
         sched.sym = Some(group.sym_mode(instance.n));
     }
-    let result = run_async_explored(
+    let result = run_async_with(
         &cfg,
-        None,
         |me, _n| AsyncTreeAaParty::new(aa_cfg.clone(), tree.clone(), inputs[me.index()]),
         LatticeAdversary::new(instance.n, assignment.clone()),
         &mut sched,

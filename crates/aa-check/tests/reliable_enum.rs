@@ -19,7 +19,7 @@ use async_net::{
     run_async_with, AsyncConfig, AsyncCtx, AsyncProtocol, DelayModel, PassiveAsync, Reliable,
     RETRANSMIT_BIT,
 };
-use sim_net::Envelope;
+use sim_net::{Envelope, FaultPlan};
 
 /// Outputs the total inner deliveries once every sender has been heard.
 /// If the reliable layer ever leaked a duplicate to the inner protocol
@@ -71,6 +71,8 @@ fn explore_reliable(n: usize, depth: usize, first_seq: u64, max_runs: usize) -> 
         seed: 0,
         delay: DelayModel::Lockstep,
         max_events: 100_000,
+        faults: FaultPlan::none(),
+        record: false,
     };
     let mut script: Vec<usize> = Vec::new();
     let mut executions = 0;
@@ -81,19 +83,19 @@ fn explore_reliable(n: usize, depth: usize, first_seq: u64, max_runs: usize) -> 
             executions <= max_runs,
             "exploration did not finish within {max_runs} runs"
         );
-        // Fresh visited map per run: run_async_with performs no state
-        // observations, so only sleep-set pruning is active here.
+        // Fresh visited map per run: no global state repeats within one
+        // run, so only sleep-set pruning can fire here.
         let mut visited = HashMap::new();
         let mut sched = EnumeratingScheduler::new(depth, &script, &mut visited);
         sched.duplicate_sends = true;
         let result = run_async_with(
             &cfg,
-            None,
             |_, _| Reliable::with_initial_seq(CountDistinct::new(n), n, first_seq),
             PassiveAsync,
             &mut sched,
         );
         let pruned = sched.pruned_by_sleep;
+        assert!(!sched.pruned_by_visited, "script {script:?}");
         match result {
             Ok(report) => {
                 completed += 1;
@@ -164,6 +166,8 @@ fn duplicate_ack_floods_cannot_unstick_the_wrap_counter() {
         seed: 0,
         delay: DelayModel::Lockstep,
         max_events: 50_000,
+        faults: FaultPlan::none(),
+        record: false,
     };
     let mut script: Vec<usize> = Vec::new();
     let mut runs = 0;
@@ -175,7 +179,6 @@ fn duplicate_ack_floods_cannot_unstick_the_wrap_counter() {
         sched.duplicate_sends = true; // every Data *and every Ack* doubled
         let result = run_async_with(
             &cfg,
-            None,
             |_, _| Reliable::with_initial_seq(CountDistinct::new(2), 2, RETRANSMIT_BIT - 1),
             PassiveAsync,
             &mut sched,

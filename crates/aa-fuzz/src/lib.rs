@@ -39,10 +39,10 @@
 //! suite replays on every `cargo test` — a bug found once stays fixed.
 //!
 //! ```
-//! use aa_fuzz::{gen_case, run_case};
+//! use aa_fuzz::{gen_case, run_case, Mutation};
 //!
 //! let case = gen_case(42, 0);
-//! run_case(&case).expect("invariants hold");
+//! run_case(&case, Mutation::None, false).expect("invariants hold");
 //! ```
 
 #![warn(missing_docs)]
@@ -65,9 +65,7 @@ pub use corpus::{load_case, load_dir, save_case, CorpusEntry};
 pub use gen::{gen_case, with_faults};
 pub use json::Json;
 pub use minimize::{minimize, Minimized};
-pub use run::{
-    run_case, run_case_mutated, run_case_traced, CaseStats, CheckFailure, Mutation, TracedCase,
-};
+pub use run::{run_case, CaseRun, CaseStats, CheckFailure, Mutation};
 pub use scenario::{record_scenario, scenario, scenario_names, SCENARIO_NAMES};
 
 /// Options of a fuzzing batch (the `cli fuzz` subcommand maps onto this).
@@ -118,7 +116,7 @@ pub fn run_batch(opts: &FuzzOptions, out: &mut dyn Write) -> io::Result<usize> {
         // The traced path checks the classic invariants *and* the
         // flight-recorder contract (trace determinism, trace-level
         // checkers, metrics accounting) on every case.
-        let Err(failure) = run_case_traced(&case) else {
+        let Err(failure) = run_case(&case, Mutation::None, true) else {
             continue;
         };
         violations += 1;
@@ -170,7 +168,7 @@ pub fn replay_corpus(dir: &Path) -> Result<usize, String> {
     let entries = load_dir(dir)?;
     let mut failures = Vec::new();
     for (path, entry) in &entries {
-        if let Err(failure) = run_case(&entry.case) {
+        if let Err(failure) = run_case(&entry.case, Mutation::None, false) {
             failures.push(format!("{}: {failure}", path.display()));
         }
     }

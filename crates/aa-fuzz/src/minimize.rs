@@ -8,7 +8,7 @@
 //! it still validates *and* still reproduces a failure.
 
 use crate::case::FuzzCase;
-use crate::run::{run_case_mutated, CheckFailure, Mutation};
+use crate::run::{run_case, CheckFailure, Mutation};
 
 /// Outcome of a minimization.
 #[derive(Clone, Debug)]
@@ -37,7 +37,7 @@ pub struct Minimized {
 /// harness bug).
 pub fn minimize(original: &FuzzCase, mutation: Mutation, max_attempts: usize) -> Minimized {
     let mut failure =
-        run_case_mutated(original, mutation).expect_err("minimize() requires a failing case");
+        run_case(original, mutation, false).expect_err("minimize() requires a failing case");
     let mut best = original.clone();
     let mut attempts = 0usize;
 
@@ -55,7 +55,7 @@ pub fn minimize(original: &FuzzCase, mutation: Mutation, max_attempts: usize) ->
                 continue;
             }
             attempts += 1;
-            if let Err(f) = run_case_mutated(&candidate, mutation) {
+            if let Err(f) = run_case(&candidate, mutation, false) {
                 best = candidate;
                 failure = f;
                 improved = true;
@@ -173,7 +173,7 @@ mod tests {
     #[test]
     fn injected_validity_bug_minimizes_to_a_tiny_repro() {
         let case = rich_case();
-        assert!(run_case_mutated(&case, Mutation::None).is_ok());
+        assert!(run_case(&case, Mutation::None, false).is_ok());
         let minimized = minimize(&case, Mutation::SkewFirstOutput, 400);
         let tree = minimized.case.tree.build();
         assert!(
@@ -182,7 +182,7 @@ mod tests {
             tree.vertex_count()
         );
         assert!(minimized.case.validate().is_ok());
-        assert!(run_case_mutated(&minimized.case, Mutation::SkewFirstOutput).is_err());
+        assert!(run_case(&minimized.case, Mutation::SkewFirstOutput, false).is_err());
         assert!(matches!(
             minimized.failure,
             CheckFailure::Validity(_) | CheckFailure::Agreement(_)

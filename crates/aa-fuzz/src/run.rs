@@ -7,7 +7,8 @@
 //!
 //! * **round bound** — `rounds_executed ≤ bound + 1`, where `bound` is the
 //!   protocol's publicly computable round count ([`TreeAaConfig::total_rounds`],
-//!   [`NowakRybickiConfig::rounds`], [`RealAaConfig::rounds`]) and the `+1`
+//!   [`NowakRybickiConfig::rounds`],
+//!   [`RealAaConfig::rounds`](real_aa::RealAaConfig::rounds)) and the `+1`
 //!   is the terminal processing round in which parties consume the last
 //!   messages and output;
 //! * **validity** — every honest output lies in the convex hull (interval,
@@ -20,8 +21,7 @@ use std::sync::Arc;
 
 use aa_check::props::{self, PropViolation};
 use sim_net::{
-    run_simulation_faulted, run_simulation_faulted_traced, run_simulation_traced,
-    run_simulation_with, Adversary, EngineConfig, FaultPlan, Metrics, Monitored, Outcome, PartyId,
+    run_simulation, Adversary, EngineConfig, FaultPlan, Metrics, Monitored, Outcome, PartyId,
     Protocol, RunReport, SimConfig, SimError, StepMode, Trace,
 };
 use tree_aa::{EngineKind, NowakRybickiConfig, NowakRybickiParty, TreeAaConfig, TreeAaParty};
@@ -106,26 +106,21 @@ pub struct CaseStats {
     pub corrupted: usize,
 }
 
-/// The result of a traced run: summary statistics plus the flight
-/// recording and the metrics of both step modes (equal by the determinism
-/// check, but kept separately so accounting tests can assert it).
+/// What a passing case leaves behind: summary statistics, the flight
+/// recording of traced runs, and the metrics of both step modes (equal
+/// by the determinism check, but kept separately so accounting tests can
+/// assert it).
 #[derive(Clone, Debug)]
-pub struct TracedCase {
-    /// Summary statistics (identical to the untraced [`run_case`] result).
+pub struct CaseRun {
+    /// Summary statistics (the same whether or not the run was traced).
     pub stats: CaseStats,
-    /// The recorded trace (byte-identical across both step modes).
-    pub trace: Trace,
+    /// The recorded trace (byte-identical across both step modes), on
+    /// traced runs.
+    pub trace: Option<Trace>,
     /// Metrics of the sequential run.
     pub seq_metrics: Metrics,
     /// Metrics of the parallel run.
     pub par_metrics: Metrics,
-}
-
-/// Trace artifacts threaded out of [`run_checked`] when tracing is on.
-struct TraceBundle {
-    trace: Trace,
-    seq_metrics: Metrics,
-    par_metrics: Metrics,
 }
 
 /// A deliberate bug injected into the checking pipeline — used to
@@ -141,34 +136,14 @@ pub enum Mutation {
     SkewFirstOutput,
 }
 
-/// Runs a case and checks every invariant.
+/// Runs a case and checks every invariant, with `mutation` applied to the
+/// outputs before checking (`Mutation::None` is the production path).
 ///
-/// # Errors
-///
-/// Returns the first [`CheckFailure`] encountered.
-pub fn run_case(case: &FuzzCase) -> Result<CaseStats, CheckFailure> {
-    run_case_mutated(case, Mutation::None)
-}
-
-/// [`run_case`] with a [`Mutation`] applied to the outputs before
-/// checking. `Mutation::None` is the production path.
-///
-/// # Errors
-///
-/// Returns the first [`CheckFailure`] encountered.
-///
-/// # Panics
-///
-/// Panics if `case` fails [`FuzzCase::validate`].
-pub fn run_case_mutated(case: &FuzzCase, mutation: Mutation) -> Result<CaseStats, CheckFailure> {
-    run_case_impl(case, mutation, false).map(|(stats, _)| stats)
-}
-
-/// Runs a case with the flight recorder on: both step modes execute under
-/// [`run_simulation_traced`], the two traces must be byte-identical, the
-/// trace must pass every [`aa_trace`] invariant checker, and its
-/// recomputed totals must equal the engine's [`Metrics`] — all **in
-/// addition to** the untraced invariants of [`run_case`].
+/// With `traced`, both step modes run with the flight recorder on, the
+/// two traces must be byte-identical, the trace must pass every
+/// [`aa_trace`] invariant checker, and its recomputed totals must equal
+/// the engine's [`Metrics`] — all **in addition to** the untraced
+/// invariants.
 ///
 /// # Errors
 ///
@@ -177,22 +152,11 @@ pub fn run_case_mutated(case: &FuzzCase, mutation: Mutation) -> Result<CaseStats
 /// # Panics
 ///
 /// Panics if `case` fails [`FuzzCase::validate`].
-pub fn run_case_traced(case: &FuzzCase) -> Result<TracedCase, CheckFailure> {
-    let (stats, bundle) = run_case_impl(case, Mutation::None, true)?;
-    let bundle = bundle.expect("traced run always yields a trace");
-    Ok(TracedCase {
-        stats,
-        trace: bundle.trace,
-        seq_metrics: bundle.seq_metrics,
-        par_metrics: bundle.par_metrics,
-    })
-}
-
-fn run_case_impl(
+pub fn run_case(
     case: &FuzzCase,
     mutation: Mutation,
     traced: bool,
-) -> Result<(CaseStats, Option<TraceBundle>), CheckFailure> {
+) -> Result<CaseRun, CheckFailure> {
     case.validate()
         .expect("case must be validated before running");
     let tree = Arc::new(case.tree.build());
@@ -209,165 +173,112 @@ fn run_case_impl(
     }
 }
 
-/// Runs the protocol under both step modes with freshly built adversaries
-/// and checks report equality plus the round bound. With `traced`, both
-/// modes run under the flight recorder and the traces are additionally
-/// checked for byte-equality, the [`aa_trace`] invariants, and exact
-/// agreement with the engine's metrics.
+/// Runs one protocol's case through [`run_checked`]. A fault-free case
+/// hands its report to `check_outputs` (validity and agreement). A
+/// faulted case wraps every party in [`Monitored`], so the output type
+/// becomes [`Outcome`]; its round bound is relaxed by the plan's
+/// scheduled extent (rounds frozen by an active fault cannot advance the
+/// protocol); and instead of validity/agreement — which benign faults may
+/// legitimately weaken — the *degradation contract* is enforced via
+/// [`check_degradation`].
+fn check_protocol<P, F>(
+    case: &FuzzCase,
+    tree: &Tree,
+    bound: u32,
+    traced: bool,
+    mut factory: F,
+    check_outputs: impl FnOnce(&RunReport<P::Output>) -> Result<(), CheckFailure>,
+) -> Result<CaseRun, CheckFailure>
+where
+    P: Protocol + Send,
+    P::Msg: Send + Sync + 'static,
+    P::Output: PartialEq + Clone,
+    F: FnMut(PartyId, usize) -> P,
+{
+    let faults = case.fault_plan();
+    if faults.is_empty() {
+        let (report, par_metrics) = run_checked(case, bound, faults, traced, factory)?;
+        check_outputs(&report)?;
+        return Ok(case_run(report, par_metrics, bound, tree));
+    }
+    let relaxed = bound + faults.scheduled_extent();
+    let (report, par_metrics) = run_checked(case, relaxed, faults.clone(), traced, |id, n| {
+        Monitored::new(factory(id, n), case.n, case.t)
+    })?;
+    check_degradation(case, &faults, bound, &report)?;
+    Ok(case_run(report, par_metrics, relaxed, tree))
+}
+
+/// Runs the protocol under `faults` in both step modes with freshly built
+/// adversaries and checks report equality plus the round bound, handing
+/// back the sequential report and the parallel run's metrics. With
+/// `traced`, the traces are additionally checked for byte-equality, the
+/// [`aa_trace`] invariants, and exact agreement with the engine's metrics.
+///
+/// Faulted traces keep the round-total bracketing check but skip the
+/// hull-monotonicity and grade checkers: a party frozen by a partition
+/// can legitimately re-emit a stale iteration value once healed.
 fn run_checked<P, F>(
     case: &FuzzCase,
     bound: u32,
-    mut factory: F,
+    faults: FaultPlan,
     traced: bool,
-) -> Result<(RunReport<P::Output>, Option<TraceBundle>), CheckFailure>
+    mut factory: F,
+) -> Result<(RunReport<P::Output>, Metrics), CheckFailure>
 where
     P: Protocol + Send,
     P::Msg: Send + Sync + 'static,
     P::Output: PartialEq + Clone,
     F: FnMut(PartyId, usize) -> P,
 {
-    let sim = SimConfig {
-        n: case.n,
-        t: case.t,
-        max_rounds: bound + ROUND_SLACK,
+    let faulted = !faults.is_empty();
+    let engine = EngineConfig {
+        faults,
+        trace: traced,
+        ..EngineConfig::from(SimConfig {
+            n: case.n,
+            t: case.t,
+            max_rounds: bound + ROUND_SLACK,
+        })
     };
-    if !traced {
-        let mut run = |mode: StepMode| {
-            // The adversary is rebuilt per run: its RNG state is part of
-            // the strategy, so both runs must start from the same seed.
-            let adversary: Box<dyn Adversary<P::Msg>> = Box::new(build_adversary::<P::Msg>(case));
-            run_simulation_with(
-                EngineConfig {
-                    sim,
-                    step_mode: mode,
-                },
-                &mut factory,
-                adversary,
-            )
-        };
-        let sequential = run(StepMode::Sequential).map_err(|e| CheckFailure::Sim(describe(&e)))?;
-        let parallel =
-            run(StepMode::Parallel { threads: 2 }).map_err(|e| CheckFailure::Sim(describe(&e)))?;
-        if sequential != parallel {
-            return Err(CheckFailure::Determinism);
-        }
-        check_bound(sequential.rounds_executed, bound)?;
-        return Ok((sequential, None));
-    }
-    let mut run = |mode: StepMode| {
+    let mut run = |step_mode: StepMode| {
+        // The adversary is rebuilt per run: its RNG state is part of the
+        // strategy, so both runs must start from the same seed.
         let adversary: Box<dyn Adversary<P::Msg>> = Box::new(build_adversary::<P::Msg>(case));
-        run_simulation_traced(
-            EngineConfig {
-                sim,
-                step_mode: mode,
-            },
-            &mut factory,
-            adversary,
-        )
+        let engine = EngineConfig {
+            step_mode,
+            ..engine.clone()
+        };
+        run_simulation(engine, &mut factory, adversary).map_err(|e| CheckFailure::Sim(describe(&e)))
     };
-    let (sequential, seq_trace) =
-        run(StepMode::Sequential).map_err(|e| CheckFailure::Sim(describe(&e)))?;
-    let (parallel, par_trace) =
-        run(StepMode::Parallel { threads: 2 }).map_err(|e| CheckFailure::Sim(describe(&e)))?;
+    let mut sequential = run(StepMode::Sequential)?;
+    let mut parallel = run(StepMode::Parallel { threads: 2 })?;
+    let (trace, par_trace) = (sequential.trace.take(), parallel.trace.take());
     if sequential != parallel {
         return Err(CheckFailure::Determinism);
     }
-    if seq_trace.to_canonical_string() != par_trace.to_canonical_string() {
+    if trace.as_ref().map(Trace::to_canonical_string)
+        != par_trace.as_ref().map(Trace::to_canonical_string)
+    {
         return Err(CheckFailure::TraceDeterminism);
     }
     check_bound(sequential.rounds_executed, bound)?;
-    aa_trace::check_all(&seq_trace).map_err(CheckFailure::TraceInvariant)?;
-    let totals = aa_trace::recomputed_totals(&seq_trace);
-    let metrics = &sequential.metrics;
-    if totals.honest_messages != metrics.honest_messages()
-        || totals.messages() != metrics.total_messages()
-        || totals.bytes != metrics.total_bytes()
-    {
-        return Err(CheckFailure::TraceInvariant(format!(
-            "trace totals ({}/{}/{}B honest/total/bytes) disagree with engine metrics ({}/{}/{}B)",
-            totals.honest_messages,
-            totals.messages(),
-            totals.bytes,
-            metrics.honest_messages(),
-            metrics.total_messages(),
-            metrics.total_bytes(),
-        )));
-    }
-    let bundle = TraceBundle {
-        trace: seq_trace,
-        seq_metrics: sequential.metrics.clone(),
-        par_metrics: parallel.metrics,
-    };
-    Ok((sequential, Some(bundle)))
-}
-
-/// Runs a *faulted* case under both step modes, with every party wrapped
-/// in [`Monitored`] so the output type becomes [`Outcome`]. The
-/// determinism and trace-determinism contracts are checked exactly as in
-/// [`run_checked`]; the round bound is relaxed by the plan's scheduled
-/// extent (rounds frozen by an active fault cannot advance the protocol);
-/// and instead of validity/agreement — which benign faults may legitimately
-/// weaken — the *degradation contract* is enforced via
-/// [`check_degradation`].
-///
-/// Traced faulted runs keep the round-total bracketing check and the
-/// totals-vs-metrics reconciliation (fault events carry no message cost),
-/// but skip the hull-monotonicity and grade checkers: a party frozen by a
-/// partition can legitimately re-emit a stale iteration value once healed.
-#[allow(clippy::type_complexity)]
-fn run_checked_faulted<P, F>(
-    case: &FuzzCase,
-    bound: u32,
-    mut factory: F,
-    traced: bool,
-) -> Result<(RunReport<Outcome<P::Output>>, u32, Option<TraceBundle>), CheckFailure>
-where
-    P: Protocol + Send,
-    P::Msg: Send + Sync + 'static,
-    P::Output: PartialEq + Clone,
-    F: FnMut(PartyId, usize) -> P,
-{
-    let plan = case.fault_plan();
-    let relaxed = bound + plan.scheduled_extent();
-    let sim = SimConfig {
-        n: case.n,
-        t: case.t,
-        max_rounds: relaxed + ROUND_SLACK,
-    };
-    let mut factory = |id: PartyId, idx: usize| Monitored::new(factory(id, idx), case.n, case.t);
-    let (sequential, bundle) = if traced {
-        let mut run = |mode: StepMode| {
-            let adversary: Box<dyn Adversary<P::Msg>> = Box::new(build_adversary::<P::Msg>(case));
-            run_simulation_faulted_traced(
-                EngineConfig {
-                    sim,
-                    step_mode: mode,
-                },
-                &plan,
-                &mut factory,
-                adversary,
-            )
-        };
-        let (sequential, seq_trace) =
-            run(StepMode::Sequential).map_err(|e| CheckFailure::Sim(describe(&e)))?;
-        let (parallel, par_trace) =
-            run(StepMode::Parallel { threads: 2 }).map_err(|e| CheckFailure::Sim(describe(&e)))?;
-        if sequential != parallel {
-            return Err(CheckFailure::Determinism);
+    if let Some(trace) = &trace {
+        if faulted {
+            aa_trace::check_round_totals(trace)
+        } else {
+            aa_trace::check_all(trace)
         }
-        if seq_trace.to_canonical_string() != par_trace.to_canonical_string() {
-            return Err(CheckFailure::TraceDeterminism);
-        }
-        aa_trace::check_round_totals(&seq_trace).map_err(CheckFailure::TraceInvariant)?;
-        let totals = aa_trace::recomputed_totals(&seq_trace);
+        .map_err(CheckFailure::TraceInvariant)?;
+        let totals = aa_trace::recomputed_totals(trace);
         let metrics = &sequential.metrics;
         if totals.honest_messages != metrics.honest_messages()
             || totals.messages() != metrics.total_messages()
             || totals.bytes != metrics.total_bytes()
         {
             return Err(CheckFailure::TraceInvariant(format!(
-                "faulted trace totals ({}/{}/{}B honest/total/bytes) disagree with \
-                 engine metrics ({}/{}/{}B)",
+                "trace totals ({}/{}/{}B honest/total/bytes) disagree with engine metrics \
+                 ({}/{}/{}B)",
                 totals.honest_messages,
                 totals.messages(),
                 totals.bytes,
@@ -376,36 +287,9 @@ where
                 metrics.total_bytes(),
             )));
         }
-        let bundle = TraceBundle {
-            trace: seq_trace,
-            seq_metrics: sequential.metrics.clone(),
-            par_metrics: parallel.metrics,
-        };
-        (sequential, Some(bundle))
-    } else {
-        let mut run = |mode: StepMode| {
-            let adversary: Box<dyn Adversary<P::Msg>> = Box::new(build_adversary::<P::Msg>(case));
-            run_simulation_faulted(
-                EngineConfig {
-                    sim,
-                    step_mode: mode,
-                },
-                &plan,
-                &mut factory,
-                adversary,
-            )
-        };
-        let sequential = run(StepMode::Sequential).map_err(|e| CheckFailure::Sim(describe(&e)))?;
-        let parallel =
-            run(StepMode::Parallel { threads: 2 }).map_err(|e| CheckFailure::Sim(describe(&e)))?;
-        if sequential != parallel {
-            return Err(CheckFailure::Determinism);
-        }
-        (sequential, None)
-    };
-    check_bound(sequential.rounds_executed, relaxed)?;
-    check_degradation(case, &plan, bound, &sequential)?;
-    Ok((sequential, relaxed, bundle))
+    }
+    sequential.trace = trace;
+    Ok((sequential, parallel.metrics))
 }
 
 /// The degradation contract, checked on every running honest party:
@@ -494,12 +378,17 @@ fn honest_outputs<O: Clone>(report: &RunReport<O>) -> Vec<O> {
     props::honest_outputs(&report.outputs, &report.corrupted)
 }
 
-fn stats<O>(report: &RunReport<O>, bound: u32, tree: &Tree) -> CaseStats {
-    CaseStats {
-        vertex_count: tree.vertex_count(),
-        rounds_executed: report.rounds_executed,
-        round_bound: bound,
-        corrupted: report.corrupted.iter().filter(|&&c| c).count(),
+fn case_run<O>(mut report: RunReport<O>, par_metrics: Metrics, bound: u32, tree: &Tree) -> CaseRun {
+    CaseRun {
+        stats: CaseStats {
+            vertex_count: tree.vertex_count(),
+            rounds_executed: report.rounds_executed,
+            round_bound: bound,
+            corrupted: report.corrupted.iter().filter(|&&c| c).count(),
+        },
+        trace: report.trace.take(),
+        seq_metrics: report.metrics,
+        par_metrics,
     }
 }
 
@@ -535,32 +424,18 @@ fn run_tree_aa(
     engine: EngineKind,
     mutation: Mutation,
     traced: bool,
-) -> Result<(CaseStats, Option<TraceBundle>), CheckFailure> {
+) -> Result<CaseRun, CheckFailure> {
     let cfg = TreeAaConfig::new(case.n, case.t, engine, tree).map_err(CheckFailure::Sim)?;
     let bound = cfg.total_rounds();
-    let verts: Vec<VertexId> = tree.vertices().collect();
-    let inputs: Vec<VertexId> = case
-        .input_vertices(verts.len())
-        .into_iter()
-        .map(|i| verts[i])
-        .collect();
-    if case.has_faults() {
-        let (report, relaxed, bundle) = run_checked_faulted::<TreeAaParty, _>(
-            case,
-            bound,
-            |id, _| TreeAaParty::new(id, cfg.clone(), Arc::clone(tree), inputs[id.index()]),
-            traced,
-        )?;
-        return Ok((stats(&report, relaxed, tree), bundle));
-    }
-    let (report, bundle) = run_checked::<TreeAaParty, _>(
+    let inputs = vertex_inputs(case, tree);
+    check_protocol(
         case,
+        tree,
         bound,
-        |id, _| TreeAaParty::new(id, cfg.clone(), Arc::clone(tree), inputs[id.index()]),
         traced,
-    )?;
-    let stats = finish_vertex_protocol(tree, &inputs, report, bound, mutation)?;
-    Ok((stats, bundle))
+        |id, _| TreeAaParty::new(id, cfg.clone(), Arc::clone(tree), inputs[id.index()]),
+        |report| check_vertex_protocol(tree, &inputs, report, mutation),
+    )
 }
 
 fn run_baseline(
@@ -568,53 +443,46 @@ fn run_baseline(
     tree: &Arc<Tree>,
     mutation: Mutation,
     traced: bool,
-) -> Result<(CaseStats, Option<TraceBundle>), CheckFailure> {
+) -> Result<CaseRun, CheckFailure> {
     let cfg = NowakRybickiConfig::new(case.n, case.t, tree).map_err(CheckFailure::Sim)?;
     let bound = cfg.rounds();
-    let verts: Vec<VertexId> = tree.vertices().collect();
-    let inputs: Vec<VertexId> = case
-        .input_vertices(verts.len())
-        .into_iter()
-        .map(|i| verts[i])
-        .collect();
-    if case.has_faults() {
-        let (report, relaxed, bundle) = run_checked_faulted::<NowakRybickiParty, _>(
-            case,
-            bound,
-            |id, _| NowakRybickiParty::new(id, cfg.clone(), Arc::clone(tree), inputs[id.index()]),
-            traced,
-        )?;
-        return Ok((stats(&report, relaxed, tree), bundle));
-    }
-    let (report, bundle) = run_checked::<NowakRybickiParty, _>(
+    let inputs = vertex_inputs(case, tree);
+    check_protocol(
         case,
+        tree,
         bound,
-        |id, _| NowakRybickiParty::new(id, cfg.clone(), Arc::clone(tree), inputs[id.index()]),
         traced,
-    )?;
-    let stats = finish_vertex_protocol(tree, &inputs, report, bound, mutation)?;
-    Ok((stats, bundle))
+        |id, _| NowakRybickiParty::new(id, cfg.clone(), Arc::clone(tree), inputs[id.index()]),
+        |report| check_vertex_protocol(tree, &inputs, report, mutation),
+    )
 }
 
-fn finish_vertex_protocol(
+/// The case's input vertices on `tree`, in party order.
+fn vertex_inputs(case: &FuzzCase, tree: &Tree) -> Vec<VertexId> {
+    let verts: Vec<VertexId> = tree.vertices().collect();
+    case.input_vertices(verts.len())
+        .into_iter()
+        .map(|i| verts[i])
+        .collect()
+}
+
+fn check_vertex_protocol(
     tree: &Tree,
     inputs: &[VertexId],
-    report: RunReport<VertexId>,
-    bound: u32,
+    report: &RunReport<VertexId>,
     mutation: Mutation,
-) -> Result<CaseStats, CheckFailure> {
+) -> Result<(), CheckFailure> {
     let honest_inputs: Vec<VertexId> = inputs
         .iter()
         .zip(&report.corrupted)
         .filter(|(_, &c)| !c)
         .map(|(&v, _)| v)
         .collect();
-    let mut outputs = honest_outputs(&report);
+    let mut outputs = honest_outputs(report);
     if mutation == Mutation::SkewFirstOutput {
         skew_vertex_outputs(tree, &honest_inputs, &mut outputs);
     }
-    check_vertex_outcome(tree, &honest_inputs, &outputs)?;
-    Ok(stats(&report, bound, tree))
+    check_vertex_outcome(tree, &honest_inputs, &outputs)
 }
 
 fn run_real_aa(
@@ -622,49 +490,41 @@ fn run_real_aa(
     tree: &Arc<Tree>,
     mutation: Mutation,
     traced: bool,
-) -> Result<(CaseStats, Option<TraceBundle>), CheckFailure> {
+) -> Result<CaseRun, CheckFailure> {
     use real_aa::{RealAaConfig, RealAaParty};
     let m = tree.vertex_count();
     let d = (m - 1) as f64;
     let eps = 1.0;
     let cfg = RealAaConfig::new(case.n, case.t, eps, d).map_err(CheckFailure::Sim)?;
-    let bound = cfg.rounds();
     let inputs: Vec<f64> = case
         .input_vertices(m)
         .into_iter()
         .map(|i| i as f64)
         .collect();
-    if case.has_faults() {
-        let (report, relaxed, bundle) = run_checked_faulted::<RealAaParty, _>(
-            case,
-            bound,
-            |id, _| RealAaParty::new(id, cfg, inputs[id.index()]),
-            traced,
-        )?;
-        return Ok((stats(&report, relaxed, tree), bundle));
-    }
-    let (report, bundle) = run_checked::<RealAaParty, _>(
+    check_protocol(
         case,
-        bound,
-        |id, _| RealAaParty::new(id, cfg, inputs[id.index()]),
+        tree,
+        cfg.rounds(),
         traced,
-    )?;
-    let honest_inputs: Vec<f64> = inputs
-        .iter()
-        .zip(&report.corrupted)
-        .filter(|(_, &c)| !c)
-        .map(|(&v, _)| v)
-        .collect();
-    let mut outputs = honest_outputs(&report);
-    if mutation == Mutation::SkewFirstOutput {
-        let hi = honest_inputs
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max);
-        outputs[0] = hi + d + 1.0;
-    }
-    props::check_real_outcome(&honest_inputs, &outputs, eps).map_err(from_prop)?;
-    Ok((stats(&report, bound, tree), bundle))
+        |id, _| RealAaParty::new(id, cfg, inputs[id.index()]),
+        |report| {
+            let honest_inputs: Vec<f64> = inputs
+                .iter()
+                .zip(&report.corrupted)
+                .filter(|(_, &c)| !c)
+                .map(|(&v, _)| v)
+                .collect();
+            let mut outputs = honest_outputs(report);
+            if mutation == Mutation::SkewFirstOutput {
+                let hi = honest_inputs
+                    .iter()
+                    .copied()
+                    .fold(f64::NEG_INFINITY, f64::max);
+                outputs[0] = hi + d + 1.0;
+            }
+            props::check_real_outcome(&honest_inputs, &outputs, eps).map_err(from_prop)
+        },
+    )
 }
 
 /// How many instances a `bundled-real-aa` case carries on its one wire.
@@ -675,59 +535,62 @@ fn run_bundled_real_aa(
     tree: &Arc<Tree>,
     mutation: Mutation,
     traced: bool,
-) -> Result<(CaseStats, Option<TraceBundle>), CheckFailure> {
+) -> Result<CaseRun, CheckFailure> {
     use real_aa::{BundledAaParty, RealAaConfig};
     let m = tree.vertex_count();
     let d = (m - 1) as f64;
     let eps = 1.0;
     let cfg = RealAaConfig::new(case.n, case.t, eps, d).map_err(CheckFailure::Sim)?;
-    let bound = cfg.rounds();
     let base = case.input_vertices(m);
     let n = case.n;
     // Instance j rotates the case's vertex inputs by j: the k bundled
     // instances agree on different values while sharing one wire.
     let inputs_for =
         |p: usize| -> Vec<f64> { (0..BUNDLE_K).map(|j| base[(p + j) % n] as f64).collect() };
-    if case.has_faults() {
-        let (report, relaxed, bundle) = run_checked_faulted::<BundledAaParty, _>(
-            case,
-            bound,
-            |id, _| BundledAaParty::new(id, cfg, inputs_for(id.index())).expect("k >= 1"),
-            traced,
-        )?;
-        return Ok((stats(&report, relaxed, tree), bundle));
-    }
-    let (report, bundle) = run_checked::<BundledAaParty, _>(
+    check_protocol(
         case,
-        bound,
-        |id, _| BundledAaParty::new(id, cfg, inputs_for(id.index())).expect("k >= 1"),
+        tree,
+        cfg.rounds(),
         traced,
-    )?;
-    let mut outputs = honest_outputs(&report);
-    if mutation == Mutation::SkewFirstOutput {
-        let hi = (0..n)
-            .filter(|&p| !report.corrupted[p])
-            .map(|p| inputs_for(p)[0])
-            .fold(f64::NEG_INFINITY, f64::max);
-        outputs[0][0] = hi + d + 1.0;
-    }
-    // Every bundled instance must satisfy the RealAA outcome contract
-    // independently.
-    for j in 0..BUNDLE_K {
-        let honest_inputs_j: Vec<f64> = (0..n)
-            .filter(|&p| !report.corrupted[p])
-            .map(|p| inputs_for(p)[j])
-            .collect();
-        let outputs_j: Vec<f64> = outputs.iter().map(|o| o[j]).collect();
-        props::check_real_outcome(&honest_inputs_j, &outputs_j, eps).map_err(from_prop)?;
-    }
-    Ok((stats(&report, bound, tree), bundle))
+        |id, _| BundledAaParty::new(id, cfg, inputs_for(id.index())).expect("k >= 1"),
+        |report| {
+            let mut outputs = honest_outputs(report);
+            if mutation == Mutation::SkewFirstOutput {
+                let hi = (0..n)
+                    .filter(|&p| !report.corrupted[p])
+                    .map(|p| inputs_for(p)[0])
+                    .fold(f64::NEG_INFINITY, f64::max);
+                outputs[0][0] = hi + d + 1.0;
+            }
+            // Every bundled instance must satisfy the RealAA outcome
+            // contract independently.
+            for j in 0..BUNDLE_K {
+                let honest_inputs_j: Vec<f64> = (0..n)
+                    .filter(|&p| !report.corrupted[p])
+                    .map(|p| inputs_for(p)[j])
+                    .collect();
+                let outputs_j: Vec<f64> = outputs.iter().map(|o| o[j]).collect();
+                props::check_real_outcome(&honest_inputs_j, &outputs_j, eps).map_err(from_prop)?;
+            }
+            Ok(())
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::case::{AdvAtom, AdvAtomKind, Family, FaultAtom, TreeSpec};
+
+    fn stats(case: &FuzzCase) -> Result<CaseStats, CheckFailure> {
+        run_case(case, Mutation::None, false).map(|run| run.stats)
+    }
+
+    fn traced(case: &FuzzCase) -> Result<(CaseRun, Trace), CheckFailure> {
+        let mut run = run_case(case, Mutation::None, true)?;
+        let trace = run.trace.take().expect("traced runs record");
+        Ok((run, trace))
+    }
 
     fn base_case(protocol: ProtocolKind) -> FuzzCase {
         FuzzCase {
@@ -774,8 +637,7 @@ mod tests {
     fn every_protocol_passes_under_equivocation() {
         for protocol in ProtocolKind::ALL {
             let case = base_case(protocol);
-            let stats =
-                run_case(&case).unwrap_or_else(|e| panic!("{} failed: {e}", protocol.name()));
+            let stats = stats(&case).unwrap_or_else(|e| panic!("{} failed: {e}", protocol.name()));
             assert!(stats.rounds_executed <= stats.round_bound + 1);
             assert_eq!(stats.corrupted, 1);
         }
@@ -785,14 +647,14 @@ mod tests {
     fn passive_case_passes() {
         let mut case = base_case(ProtocolKind::TreeAaGradecast);
         case.atoms.clear();
-        run_case(&case).unwrap();
+        stats(&case).unwrap();
     }
 
     #[test]
     fn skew_mutation_is_caught() {
         for protocol in ProtocolKind::ALL {
             let case = base_case(protocol);
-            let failure = run_case_mutated(&case, Mutation::SkewFirstOutput)
+            let failure = run_case(&case, Mutation::SkewFirstOutput, false)
                 .expect_err("mutation must be caught");
             assert!(
                 matches!(
@@ -808,23 +670,18 @@ mod tests {
     #[test]
     fn run_is_reproducible() {
         let case = base_case(ProtocolKind::Baseline);
-        assert_eq!(run_case(&case).unwrap(), run_case(&case).unwrap());
+        assert_eq!(stats(&case).unwrap(), stats(&case).unwrap());
     }
 
     #[test]
     fn traced_run_matches_untraced_and_reconciles_metrics() {
         for protocol in ProtocolKind::ALL {
             let case = base_case(protocol);
-            let traced = run_case_traced(&case)
+            let (traced, trace) = traced(&case)
                 .unwrap_or_else(|e| panic!("{} traced run failed: {e}", protocol.name()));
-            assert_eq!(
-                traced.stats,
-                run_case(&case).unwrap(),
-                "{}",
-                protocol.name()
-            );
+            assert_eq!(traced.stats, stats(&case).unwrap(), "{}", protocol.name());
             assert_eq!(traced.seq_metrics, traced.par_metrics);
-            let totals = aa_trace::recomputed_totals(&traced.trace);
+            let totals = aa_trace::recomputed_totals(&trace);
             assert_eq!(totals.honest_messages, traced.seq_metrics.honest_messages());
             assert_eq!(totals.messages(), traced.seq_metrics.total_messages());
             assert_eq!(totals.bytes, traced.seq_metrics.total_bytes());
@@ -834,18 +691,17 @@ mod tests {
     #[test]
     fn traced_run_is_byte_reproducible() {
         let case = base_case(ProtocolKind::TreeAaGradecast);
-        let a = run_case_traced(&case).unwrap();
-        let b = run_case_traced(&case).unwrap();
-        assert_eq!(a.trace.to_canonical_string(), b.trace.to_canonical_string());
-        assert_eq!(a.trace.fingerprint(), b.trace.fingerprint());
+        let (_, a) = traced(&case).unwrap();
+        let (_, b) = traced(&case).unwrap();
+        assert_eq!(a.to_canonical_string(), b.to_canonical_string());
+        assert_eq!(a.fingerprint(), b.fingerprint());
     }
 
     #[test]
     fn transient_faults_terminate_for_every_protocol() {
         for protocol in ProtocolKind::ALL {
             let case = faulted_case(protocol);
-            let stats =
-                run_case(&case).unwrap_or_else(|e| panic!("{} failed: {e}", protocol.name()));
+            let stats = stats(&case).unwrap_or_else(|e| panic!("{} failed: {e}", protocol.name()));
             assert!(
                 stats.rounds_executed <= stats.round_bound + 1,
                 "{}: executed {} > relaxed bound {} + 1",
@@ -859,7 +715,7 @@ mod tests {
     #[test]
     fn faulted_run_is_reproducible() {
         let case = faulted_case(ProtocolKind::Baseline);
-        assert_eq!(run_case(&case).unwrap(), run_case(&case).unwrap());
+        assert_eq!(stats(&case).unwrap(), stats(&case).unwrap());
     }
 
     #[test]
@@ -878,17 +734,17 @@ mod tests {
                     recover_round: u32::MAX,
                 })
                 .collect();
-            run_case(&case).unwrap_or_else(|e| panic!("{} failed: {e}", protocol.name()));
+            stats(&case).unwrap_or_else(|e| panic!("{} failed: {e}", protocol.name()));
         }
     }
 
     #[test]
     fn faulted_traced_run_records_fault_events_and_is_byte_reproducible() {
         let case = faulted_case(ProtocolKind::Baseline);
-        let a = run_case_traced(&case).unwrap();
-        let b = run_case_traced(&case).unwrap();
-        assert_eq!(a.trace.to_canonical_string(), b.trace.to_canonical_string());
-        let kinds: Vec<_> = a.trace.events.iter().map(|e| &e.kind).collect();
+        let (_, a) = traced(&case).unwrap();
+        let (_, b) = traced(&case).unwrap();
+        assert_eq!(a.to_canonical_string(), b.to_canonical_string());
+        let kinds: Vec<_> = a.events.iter().map(|e| &e.kind).collect();
         assert!(
             kinds
                 .iter()
@@ -912,9 +768,9 @@ mod tests {
     #[test]
     fn traces_carry_protocol_events() {
         let proto_labels = |case: &FuzzCase| -> std::collections::BTreeSet<String> {
-            run_case_traced(case)
+            traced(case)
                 .unwrap()
-                .trace
+                .1
                 .events
                 .iter()
                 .filter_map(|e| match &e.kind {

@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use async_aa::{AsyncTreeAaConfig, AsyncTreeAaParty};
-use async_net::{run_async_faulted, AsyncConfig, DelayModel, Reliable, SilentAsync};
+use async_net::{run_async, AsyncConfig, DelayModel, Reliable, SilentAsync};
 use sim_net::{CrashFault, FaultPlan, Outcome, Partition};
 use tree_aa::check_tree_aa;
 use tree_model::{generate, Tree, VertexId};
@@ -50,15 +50,16 @@ fn reliable_layer_rides_out_eventually_connected_faults() {
     plan.validate(n).unwrap();
     assert!(plan.eventually_connected());
     for seed in [1u64, 7, 23] {
-        let report = run_async_faulted(
+        let report = run_async(
             AsyncConfig {
                 n,
                 t,
                 seed,
                 delay: DelayModel::Uniform { min: 0.1 },
                 max_events: 5_000_000,
+                faults: plan.clone(),
+                record: false,
             },
-            &plan,
             |id, _| {
                 Reliable::new(
                     AsyncTreeAaParty::new(cfg.clone(), Arc::clone(&tree), inputs[id.index()]),
@@ -112,15 +113,16 @@ fn over_budget_permanent_crashes_degrade_survivors_with_certificates() {
         ..FaultPlan::none()
     };
     assert!(!plan.eventually_connected());
-    let report = run_async_faulted(
+    let report = run_async(
         AsyncConfig {
             n,
             t,
             seed: 3,
             delay: DelayModel::Uniform { min: 0.2 },
             max_events: 5_000_000,
+            faults: plan.clone(),
+            record: false,
         },
-        &plan,
         |id, _| {
             Reliable::new(
                 AsyncTreeAaParty::new(cfg.clone(), Arc::clone(&tree), inputs[id.index()]),

@@ -5,8 +5,8 @@
 use std::fs;
 
 use aa_fuzz::{
-    gen_case, minimize, replay_corpus, run_batch, run_case, run_case_mutated, save_case, FuzzCase,
-    FuzzOptions, Json, Mutation,
+    gen_case, minimize, replay_corpus, run_batch, run_case, save_case, FuzzCase, FuzzOptions, Json,
+    Mutation,
 };
 
 /// A smoke sweep: the first 60 cases of the default seed all satisfy
@@ -15,7 +15,8 @@ use aa_fuzz::{
 fn smoke_sweep_finds_no_violations() {
     for index in 0..60 {
         let case = gen_case(42, index);
-        run_case(&case).unwrap_or_else(|e| panic!("case {index} ({}) failed: {e}", case.to_json()));
+        run_case(&case, Mutation::None, false)
+            .unwrap_or_else(|e| panic!("case {index} ({}) failed: {e}", case.to_json()));
     }
 }
 
@@ -78,7 +79,7 @@ fn injected_bug_is_caught_minimized_and_persisted() {
     // Find the first generated case the mutation breaks.
     let (index, case) = (0..200)
         .map(|i| (i, gen_case(99, i)))
-        .find(|(_, c)| run_case_mutated(c, Mutation::SkewFirstOutput).is_err())
+        .find(|(_, c)| run_case(c, Mutation::SkewFirstOutput, false).is_err())
         .expect("the planted validity bug must be caught within 200 cases");
 
     let minimized = minimize(&case, Mutation::SkewFirstOutput, 500);

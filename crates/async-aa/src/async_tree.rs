@@ -407,6 +407,7 @@ impl AsyncProtocol for AsyncTreeAaParty {
 mod tests {
     use super::*;
     use async_net::{run_async, AsyncConfig, DelayModel, SilentAsync};
+    use sim_net::FaultPlan;
     use tree_aa::check_tree_aa;
     use tree_model::generate;
 
@@ -426,6 +427,8 @@ mod tests {
             seed,
             delay,
             max_events: 3_000_000,
+            faults: FaultPlan::none(),
+            record: false,
         };
         run_async(
             acfg,
@@ -565,10 +568,11 @@ mod tests {
             seed: 5,
             delay: DelayModel::Uniform { min: 0.2 },
             max_events: 3_000_000,
+            faults: plan.clone(),
+            record: false,
         };
-        let report = async_net::run_async_faulted(
+        let report = async_net::run_async(
             acfg,
-            &plan,
             |id, _| AsyncTreeAaParty::new(cfg.clone(), Arc::clone(&tree), inputs[id.index()]),
             async_net::PassiveAsync,
         )
@@ -646,10 +650,11 @@ mod tests {
             seed: 6,
             delay: DelayModel::Uniform { min: 0.2 },
             max_events: 3_000_000,
+            faults: plan.clone(),
+            record: false,
         };
-        let report = async_net::run_async_faulted(
+        let report = async_net::run_async(
             acfg,
-            &plan,
             |id, _| AsyncTreeAaParty::new(cfg.clone(), Arc::clone(&tree), inputs[id.index()]),
             Equivocator,
         )

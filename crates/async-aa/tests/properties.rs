@@ -10,7 +10,7 @@ use async_net::{run_async, AsyncAdversary, AsyncConfig, DelayModel, SilentAsync}
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use sim_net::{Envelope, Outcome, PartyId};
+use sim_net::{Envelope, FaultPlan, Outcome, PartyId};
 use tree_aa::check_tree_aa;
 use tree_model::{generate, Tree, VertexId};
 
@@ -133,7 +133,7 @@ proptest! {
         let (tree, n, t, inputs, byz, delay) = scenario(seed);
         let cfg = AsyncTreeAaConfig::new(n, t, &tree).unwrap();
         let report = run_async(
-            AsyncConfig { n, t, seed, delay, max_events: 5_000_000 },
+            AsyncConfig { n, t, seed, delay, max_events: 5_000_000, faults: FaultPlan::none(), record: false },
             |id, _| AsyncTreeAaParty::new(cfg.clone(), Arc::clone(&tree), inputs[id.index()]),
             SilentAsync { parties: byz.clone() },
         ).unwrap();
@@ -157,7 +157,7 @@ proptest! {
             budget: 5_000,
         };
         let report = run_async(
-            AsyncConfig { n, t, seed, delay, max_events: 5_000_000 },
+            AsyncConfig { n, t, seed, delay, max_events: 5_000_000, faults: FaultPlan::none(), record: false },
             |id, _| AsyncTreeAaParty::new(cfg.clone(), Arc::clone(&tree), inputs[id.index()]),
             adv,
         ).unwrap();

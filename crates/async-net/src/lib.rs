@@ -21,7 +21,7 @@
 //!   corrupted party and may inject arbitrary (per-recipient) messages
 //!   from corrupted senders. Channels remain authenticated.
 //! * On top of the adversary, a benign [`FaultPlan`] may be injected
-//!   ([`run_async_faulted`]): seed-driven per-message drop, duplication
+//!   ([`AsyncConfig::faults`]): seed-driven per-message drop, duplication
 //!   and delay spikes, scheduled partitions, and crash-with-recovery
 //!   windows. The [`Reliable`] sublayer (acks + retransmission + dedup)
 //!   restores exactly-once delivery over such lossy links.
@@ -34,7 +34,7 @@
 //!
 //! ```
 //! use async_net::{run_async, AsyncConfig, AsyncCtx, AsyncProtocol, DelayModel, PassiveAsync};
-//! use sim_net::{Envelope, PartyId};
+//! use sim_net::{Envelope, FaultPlan, PartyId};
 //!
 //! /// Everybody announces its id once; output after hearing from all.
 //! struct Census { heard: usize, n: usize }
@@ -53,7 +53,7 @@
 //! }
 //!
 //! let cfg = AsyncConfig { n: 4, t: 0, seed: 1, delay: DelayModel::Uniform { min: 0.1 },
-//!                         max_events: 10_000 };
+//!                         max_events: 10_000, faults: FaultPlan::none(), record: false };
 //! let report = run_async(cfg, |_, n| Census { heard: 0, n }, PassiveAsync).unwrap();
 //! assert!(report.outputs.iter().all(|o| *o == Some(4)));
 //! assert!(report.completion_time <= 1.0); // one async "round"
@@ -68,7 +68,7 @@ use std::hash::{Hash, Hasher};
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use sim_net::{Envelope, FaultPlan, PartyId, Payload};
+use sim_net::{Envelope, FaultPlan, PartyId, Payload, Trace};
 
 mod reliable;
 mod virtual_time;
@@ -158,6 +158,35 @@ pub struct AsyncConfig {
     /// Hard stop: error out if honest parties have not all terminated
     /// after this many queue events.
     pub max_events: usize,
+    /// Benign faults applied on top of the adversary; [`FaultPlan::none`]
+    /// for none. An empty plan ([`FaultPlan::is_empty`]) runs exactly as
+    /// no plan.
+    ///
+    /// Async fault semantics (the documented choice):
+    ///
+    /// * drop/duplicate/spike decisions are drawn by [`SeededScheduler`]
+    ///   from a dedicated RNG seeded by the plan's seed, in delivery
+    ///   order — independent of `max_events` headroom and never
+    ///   perturbing the base delay schedule; a caller's own [`Scheduler`]
+    ///   owns the link faults of its runs;
+    /// * a message is dropped if its link is severed at *send* time, or
+    ///   by a probabilistic drop, or if its recipient is down at
+    ///   *delivery* time;
+    /// * a crashed party is frozen: it processes nothing while down, and
+    ///   its timers due during the outage fire at the recovery instant
+    ///   instead (timers of never-recovering parties are discarded);
+    /// * permanently crashed parties are excluded from termination,
+    ///   reported in [`AsyncReport::crashed`] with `None` outputs.
+    ///
+    /// Round `r` of the plan spans the time interval `[r − 1, r)`. Bare
+    /// protocols generally stall under lossy plans — wrap them in
+    /// [`Reliable`] to restore guaranteed delivery on
+    /// eventually-connected links.
+    pub faults: FaultPlan,
+    /// Record every protocol event emitted via [`AsyncCtx::emit_with`]
+    /// into [`AsyncReport::trace`], stamped with its virtual time and
+    /// per-party emission ordinal (see [`AsyncRecorder`]).
+    pub record: bool,
 }
 
 /// Per-activation sending context.
@@ -449,6 +478,8 @@ pub struct AsyncReport<O> {
     pub messages_delivered: usize,
     /// Substrate counters (retransmissions, fault firings, timers).
     pub metrics: AsyncMetrics,
+    /// The recorded protocol events, when [`AsyncConfig::record`] was on.
+    pub trace: Option<Trace>,
 }
 
 impl<O: Clone> AsyncReport<O> {
@@ -483,9 +514,9 @@ pub enum SchedEvent<M> {
 /// The run loop ([`run_async_with`]) is scheduler-agnostic: it pushes
 /// every send and timer into the scheduler and activates whatever the
 /// scheduler pops next. [`SeededScheduler`] reproduces the classic
-/// seeded delay-model semantics ([`run_async`] / [`run_async_faulted`]
-/// are thin wrappers over it); exhaustive-exploration tools implement
-/// this trait to *enumerate* delivery orders instead of sampling one.
+/// seeded delay-model semantics ([`run_async`] runs on it);
+/// exhaustive-exploration tools implement this trait to *enumerate*
+/// delivery orders instead of sampling one.
 pub trait Scheduler<M: Payload> {
     /// Accepts a message sent at time `now`. The scheduler decides when
     /// (and, for fault-modelling schedulers, whether) it is delivered.
@@ -508,8 +539,9 @@ pub trait Scheduler<M: Payload> {
     fn metrics_mut(&mut self) -> &mut AsyncMetrics;
 
     /// Whether the run loop should report canonical state digests after
-    /// each activation (see [`run_async_explored`]). Defaults to `false`;
-    /// sampling schedulers never need them.
+    /// each activation: a deterministic hash of every party's `Debug`
+    /// rendering, passed to [`Scheduler::observe_state`]. Defaults to
+    /// `false`; sampling schedulers never need them.
     fn wants_observations(&self) -> bool {
         false
     }
@@ -579,7 +611,7 @@ fn recovery_time(plan: &FaultPlan, party: usize, round: u32) -> Option<f64> {
 /// The classic seeded scheduler: a time-ordered event queue plus
 /// everything needed to push into it — delay sampling, fault-plan
 /// application, and the metric counters. This is the [`Scheduler`] that
-/// [`run_async`] and [`run_async_faulted`] run on.
+/// [`run_async`] runs on.
 pub struct SeededScheduler<'a, M: Payload> {
     heap: BinaryHeap<Reverse<Event<M>>>,
     seq: u64,
@@ -591,16 +623,16 @@ pub struct SeededScheduler<'a, M: Payload> {
 }
 
 impl<'a, M: Payload> SeededScheduler<'a, M> {
-    /// Builds the scheduler for `cfg` (and optionally a fault plan whose
-    /// link faults it applies at push time).
-    pub fn new(cfg: &'a AsyncConfig, plan: Option<&'a FaultPlan>) -> Self {
+    /// Builds the scheduler for `cfg`, applying the link faults of
+    /// [`AsyncConfig::faults`] at push time.
+    pub fn new(cfg: &'a AsyncConfig) -> Self {
         SeededScheduler {
             heap: BinaryHeap::new(),
             seq: 0,
             delay: &cfg.delay,
             rng: ChaCha8Rng::seed_from_u64(cfg.seed),
-            plan,
-            fault_rng: ChaCha8Rng::seed_from_u64(plan.map_or(0, |p| p.seed)),
+            plan: active_plan(cfg),
+            fault_rng: ChaCha8Rng::seed_from_u64(cfg.faults.seed),
             metrics: AsyncMetrics::default(),
         }
     }
@@ -671,12 +703,20 @@ impl<M: Payload> Scheduler<M> for SeededScheduler<'_, M> {
     }
 }
 
-/// Runs an asynchronous protocol instance to completion (no fault plan).
+/// The plan a run applies: `None` for an empty one, so a plan-free run
+/// makes no per-message plan checks.
+fn active_plan(cfg: &AsyncConfig) -> Option<&FaultPlan> {
+    (!cfg.faults.is_empty()).then_some(&cfg.faults)
+}
+
+/// Runs an asynchronous protocol instance to completion on the seeded
+/// delay model, under [`AsyncConfig::faults`].
 ///
 /// # Errors
 ///
 /// * [`AsyncSimError::BadConfig`] for invalid `n`/`t`, an invalid delay
 ///   model, or an oversized corrupted set;
+/// * [`AsyncSimError::BadFaultPlan`] for a structurally invalid plan;
 /// * [`AsyncSimError::Stalled`] if honest parties stop making progress
 ///   (queue drained) or `max_events` is exceeded.
 pub fn run_async<P, A, F>(
@@ -689,114 +729,26 @@ where
     A: AsyncAdversary<P::Msg>,
     F: FnMut(PartyId, usize) -> P,
 {
-    let mut sched = SeededScheduler::new(&cfg, None);
-    run_loop(&cfg, None, factory, adversary, &mut sched, None, None)
+    let mut sched = SeededScheduler::new(&cfg);
+    run_loop(&cfg, factory, adversary, &mut sched, None)
 }
 
-/// [`run_async`] under a [`FaultPlan`]: probabilistic drop, duplication
-/// and delay-spike faults per message, plus scheduled partitions and
-/// crash/recovery windows mapped onto async time (round `r` spans the
-/// time interval `[r − 1, r)`).
-///
-/// Async fault semantics (the documented choice):
-///
-/// * drop/duplicate/spike decisions are drawn from a dedicated RNG seeded
-///   by `plan.seed`, in delivery order — independent of `max_events`
-///   headroom and never perturbing the base delay schedule;
-/// * a message is dropped if its link is severed at *send* time, or by a
-///   probabilistic drop, or if its recipient is down at *delivery* time;
-/// * a crashed party is frozen: it processes nothing while down, and its
-///   timers due during the outage fire at the recovery instant instead
-///   (timers of never-recovering parties are discarded);
-/// * permanently crashed parties are excluded from termination, reported
-///   in [`AsyncReport::crashed`] with `None` outputs.
-///
-/// Bare protocols generally stall under lossy plans — wrap them in
-/// [`Reliable`] to restore guaranteed delivery on eventually-connected
-/// links.
-///
-/// # Errors
-///
-/// As [`run_async`], plus [`AsyncSimError::BadFaultPlan`] for a
-/// structurally invalid plan.
-pub fn run_async_faulted<P, A, F>(
-    cfg: AsyncConfig,
-    plan: &FaultPlan,
-    factory: F,
-    adversary: A,
-) -> Result<AsyncReport<P::Output>, AsyncSimError>
-where
-    P: AsyncProtocol,
-    A: AsyncAdversary<P::Msg>,
-    F: FnMut(PartyId, usize) -> P,
-{
-    let mut sched = SeededScheduler::new(&cfg, Some(plan));
-    run_loop(&cfg, Some(plan), factory, adversary, &mut sched, None, None)
-}
-
-/// Runs an asynchronous protocol on a caller-supplied [`Scheduler`] —
-/// the substrate-level entry point behind [`run_async`] and
-/// [`run_async_faulted`]. `plan` drives the run loop's crash handling
-/// (deferred timers, dropped deliveries to crashed recipients); link
-/// faults are the scheduler's own business.
-///
-/// # Errors
-///
-/// As [`run_async_faulted`], plus [`AsyncSimError::Aborted`] if the
-/// scheduler cuts the run short.
-pub fn run_async_with<P, A, F, S>(
-    cfg: &AsyncConfig,
-    plan: Option<&FaultPlan>,
-    factory: F,
-    adversary: A,
-    sched: &mut S,
-) -> Result<AsyncReport<P::Output>, AsyncSimError>
-where
-    P: AsyncProtocol,
-    A: AsyncAdversary<P::Msg>,
-    F: FnMut(PartyId, usize) -> P,
-    S: Scheduler<P::Msg>,
-{
-    run_loop(cfg, plan, factory, adversary, sched, None, None)
-}
-
-/// [`run_async_with`] plus flight recording: protocol events emitted via
-/// [`AsyncCtx::emit_with`] are captured into `recorder`, stamped with
-/// their virtual time and per-party emission ordinal. Pair with a
-/// [`VirtualScheduler`] to produce the in-process reference trace the
+/// Runs an asynchronous protocol on a caller-supplied [`Scheduler`].
+/// [`AsyncConfig::faults`] drives the run loop's crash handling (deferred
+/// timers, dropped deliveries to crashed recipients); link faults are the
+/// scheduler's own business. While [`Scheduler::wants_observations`]
+/// holds, a canonical digest of the global protocol state is reported
+/// after every activation through [`Scheduler::observe_state`], which may
+/// prune the run. Pair with a [`VirtualScheduler`] and
+/// [`AsyncConfig::record`] to produce the in-process reference trace the
 /// real-socket differential gate compares against.
 ///
 /// # Errors
 ///
-/// As [`run_async_with`].
-pub fn run_async_recorded<P, A, F, S>(
+/// As [`run_async`], plus [`AsyncSimError::Aborted`] if the scheduler
+/// cuts the run short.
+pub fn run_async_with<P, A, F, S>(
     cfg: &AsyncConfig,
-    factory: F,
-    adversary: A,
-    sched: &mut S,
-    recorder: &mut AsyncRecorder,
-) -> Result<AsyncReport<P::Output>, AsyncSimError>
-where
-    P: AsyncProtocol,
-    A: AsyncAdversary<P::Msg>,
-    F: FnMut(PartyId, usize) -> P,
-    S: Scheduler<P::Msg>,
-{
-    run_loop(cfg, None, factory, adversary, sched, None, Some(recorder))
-}
-
-/// [`run_async_with`] for exploration: after every activation a
-/// canonical digest of the global protocol state (a deterministic hash
-/// of each party's `Debug` rendering) is reported to the scheduler via
-/// [`Scheduler::observe_state`], which may prune the run. Digests are
-/// only computed while [`Scheduler::wants_observations`] returns `true`.
-///
-/// # Errors
-///
-/// As [`run_async_with`].
-pub fn run_async_explored<P, A, F, S>(
-    cfg: &AsyncConfig,
-    plan: Option<&FaultPlan>,
     factory: F,
     adversary: A,
     sched: &mut S,
@@ -807,15 +759,7 @@ where
     F: FnMut(PartyId, usize) -> P,
     S: Scheduler<P::Msg>,
 {
-    run_loop(
-        cfg,
-        plan,
-        factory,
-        adversary,
-        sched,
-        Some(state_digest::<P>),
-        None,
-    )
+    run_loop(cfg, factory, adversary, sched, Some(state_digest::<P>))
 }
 
 /// A deterministic (fixed-key) digest of every party's `Debug` state —
@@ -862,18 +806,16 @@ fn flush_ctx<M: Payload, S: Scheduler<M>>(
     }
 }
 
-/// The optional state-digest hook of [`run_async_explored`]: a pure
-/// function of every party's current state (crashed slots are `None`).
+/// The optional state-digest hook of [`run_async_with`]: a pure function
+/// of every party's current state (crashed slots are `None`).
 type DigestFn<P> = fn(&[Option<P>]) -> u64;
 
 fn run_loop<P, A, F, S>(
     cfg: &AsyncConfig,
-    plan: Option<&FaultPlan>,
     mut factory: F,
     mut adversary: A,
     sched: &mut S,
     digest: Option<DigestFn<P>>,
-    mut recorder: Option<&mut AsyncRecorder>,
 ) -> Result<AsyncReport<P::Output>, AsyncSimError>
 where
     P: AsyncProtocol,
@@ -895,6 +837,7 @@ where
     cfg.delay
         .validate()
         .map_err(|reason| AsyncSimError::BadConfig { reason })?;
+    let plan = active_plan(cfg);
     if let Some(plan) = plan {
         plan.validate(n).map_err(|e| AsyncSimError::BadFaultPlan {
             reason: e.to_string(),
@@ -933,13 +876,14 @@ where
         .collect();
 
     // Time 0: honest starts, adversary start injections.
-    let tracing = recorder.is_some();
+    let mut recorder = cfg.record.then(|| AsyncRecorder::new(n, cfg.t, ""));
+    let tracing = cfg.record;
     for (i, party) in parties.iter_mut().enumerate() {
         if let Some(p) = party.as_mut() {
             let mut ctx = AsyncCtx::new(PartyId(i), n, 0.0);
             ctx.tracing = tracing;
             p.on_start(&mut ctx);
-            flush_ctx(sched, ctx, recorder.as_deref_mut());
+            flush_ctx(sched, ctx, recorder.as_mut());
         }
     }
     let mut adv_sends = Vec::new();
@@ -970,7 +914,8 @@ where
                        perm_crashed: Vec<bool>,
                        completion_time: f64,
                        delivered: usize,
-                       metrics: AsyncMetrics| AsyncReport {
+                       metrics: AsyncMetrics,
+                       recorder: Option<AsyncRecorder>| AsyncReport {
         outputs: parties
             .iter()
             .enumerate()
@@ -987,6 +932,7 @@ where
         completion_time,
         messages_delivered: delivered,
         metrics,
+        trace: recorder.map(AsyncRecorder::into_trace),
     };
 
     let mut events = 0usize;
@@ -1000,6 +946,7 @@ where
             completion_time,
             0,
             *sched.metrics_mut(),
+            recorder,
         ));
     }
 
@@ -1068,7 +1015,7 @@ where
                 Activation::Message(env) => p.on_message(env, &mut ctx),
                 Activation::Timer(token) => p.on_timer(token, &mut ctx),
             }
-            flush_ctx(sched, ctx, recorder.as_deref_mut());
+            flush_ctx(sched, ctx, recorder.as_mut());
         }
         if let Some(dg) = digest {
             if sched.wants_observations() && !sched.observe_state(dg(&parties)) {
@@ -1086,6 +1033,7 @@ where
                     completion_time,
                     delivered,
                     *sched.metrics_mut(),
+                    recorder,
                 ));
             }
         }
@@ -1131,6 +1079,8 @@ mod tests {
             seed: 9,
             delay: DelayModel::Uniform { min: 0.2 },
             max_events: 10_000,
+            faults: FaultPlan::none(),
+            record: false,
         };
         let report = run_async(
             cfg,
@@ -1155,6 +1105,8 @@ mod tests {
             seed: 9,
             delay: DelayModel::Uniform { min: 0.2 },
             max_events: 10_000,
+            faults: FaultPlan::none(),
+            record: false,
         };
         let err = run_async(
             cfg,
@@ -1175,6 +1127,8 @@ mod tests {
             seed: 1,
             delay: DelayModel::Lockstep,
             max_events: 10_000,
+            faults: FaultPlan::none(),
+            record: false,
         };
         let report = run_async(cfg, |_, _| Census { heard: 0, need: 5 }, PassiveAsync).unwrap();
         assert!((report.completion_time - 1.0).abs() < 1e-12);
@@ -1189,6 +1143,8 @@ mod tests {
                 seed,
                 delay: DelayModel::Uniform { min: 0.1 },
                 max_events: 10_000,
+                faults: FaultPlan::none(),
+                record: false,
             };
             run_async(cfg, |_, _| Census { heard: 0, need: 6 }, PassiveAsync).unwrap()
         };
@@ -1207,6 +1163,8 @@ mod tests {
                 min: 0.1,
             },
             max_events: 10_000,
+            faults: FaultPlan::none(),
+            record: false,
         };
         let report = run_async(cfg, |_, _| Census { heard: 0, need: 4 }, PassiveAsync).unwrap();
         // Everyone needs p0's message, which takes time 1.
@@ -1221,6 +1179,8 @@ mod tests {
             seed: 0,
             delay: DelayModel::Lockstep,
             max_events: 10,
+            faults: FaultPlan::none(),
+            record: false,
         };
         assert!(matches!(
             run_async(cfg, |_, _| Census { heard: 0, need: 1 }, PassiveAsync),
@@ -1232,6 +1192,8 @@ mod tests {
             seed: 0,
             delay: DelayModel::Lockstep,
             max_events: 10,
+            faults: FaultPlan::none(),
+            record: false,
         };
         assert!(matches!(
             run_async(
@@ -1285,6 +1247,8 @@ mod tests {
                 seed: 0,
                 delay: DelayModel::Uniform { min: bad_min },
                 max_events: 10,
+                faults: FaultPlan::none(),
+                record: false,
             };
             let err =
                 run_async(cfg, |_, _| Census { heard: 0, need: 1 }, PassiveAsync).unwrap_err();
@@ -1325,6 +1289,8 @@ mod tests {
             seed: 5,
             delay: DelayModel::Lockstep,
             max_events: 1_000,
+            faults: FaultPlan::none(),
+            record: false,
         };
         let report = run_async(cfg, |_, _| TimerChain { hops: 0 }, PassiveAsync).unwrap();
         assert_eq!(report.outputs, vec![Some(3), Some(3)]);
@@ -1368,9 +1334,10 @@ mod tests {
             seed: 5,
             delay: DelayModel::Lockstep,
             max_events: 1_000,
+            faults: plan,
+            record: false,
         };
-        let report =
-            run_async_faulted(cfg, &plan, |_, _| Stamp { fired_at: None }, PassiveAsync).unwrap();
+        let report = run_async(cfg, |_, _| Stamp { fired_at: None }, PassiveAsync).unwrap();
         // Party 0's timer fires on time at 1.5; party 1's defers to 3.0.
         assert_eq!(report.outputs, vec![Some(1), Some(3)]);
         assert!(report.metrics.fault_drops > 0 || report.metrics.timer_fires == 2);
@@ -1392,10 +1359,11 @@ mod tests {
                 seed: 21,
                 delay: DelayModel::Uniform { min: 0.1 },
                 max_events,
+                faults: plan.clone(),
+                record: false,
             };
-            run_async_faulted(
+            run_async(
                 cfg,
-                &plan,
                 |_, _| Reliable::new(Census { heard: 0, need: 5 }, 5),
                 PassiveAsync,
             )
@@ -1465,11 +1433,12 @@ mod tests {
             seed: 0,
             delay: DelayModel::Lockstep, // unused by Fifo
             max_events: 10_000,
+            faults: FaultPlan::none(),
+            record: false,
         };
         let mut sched = Fifo::default();
         let report = run_async_with(
             &cfg,
-            None,
             |_, _| Census { heard: 0, need: 4 },
             PassiveAsync,
             &mut sched,
@@ -1493,14 +1462,15 @@ mod tests {
             seed: 0,
             delay: DelayModel::Lockstep,
             max_events: 10_000,
+            faults: FaultPlan::none(),
+            record: false,
         };
         let mut sched = Fifo {
             abort_after: Some(3),
             ..Fifo::default()
         };
-        let err = run_async_explored(
+        let err = run_async_with(
             &cfg,
-            None,
             |_, _| Census { heard: 0, need: 4 },
             PassiveAsync,
             &mut sched,
@@ -1522,14 +1492,43 @@ mod tests {
             seed: 0,
             delay: DelayModel::Lockstep,
             max_events: 10,
+            faults: plan,
+            record: false,
         };
-        let err = run_async_faulted(
-            cfg,
-            &plan,
-            |_, _| Census { heard: 0, need: 1 },
-            PassiveAsync,
-        )
-        .unwrap_err();
+        let err = run_async(cfg, |_, _| Census { heard: 0, need: 1 }, PassiveAsync).unwrap_err();
         assert!(matches!(err, AsyncSimError::BadFaultPlan { .. }), "{err}");
+    }
+
+    /// The seeded scheduler and the run loop treat an empty plan as no
+    /// plan, so a plan with no faults but its own seed must leave the
+    /// report, its metrics and its recorded events unchanged.
+    #[test]
+    fn empty_plan_is_observably_identical_to_no_plan() {
+        let seeded = FaultPlan {
+            seed: 0x5eed,
+            ..FaultPlan::none()
+        };
+        assert!(seeded.is_empty());
+        let run = |faults: FaultPlan| {
+            let cfg = AsyncConfig {
+                n: 5,
+                t: 0,
+                seed: 21,
+                delay: DelayModel::Uniform { min: 0.1 },
+                max_events: 100_000,
+                faults,
+                record: true,
+            };
+            run_async(
+                cfg,
+                |_, _| Reliable::new(Census { heard: 0, need: 5 }, 5),
+                PassiveAsync,
+            )
+            .unwrap()
+        };
+        let (none, empty) = (run(FaultPlan::none()), run(seeded));
+        assert_eq!(none.metrics, empty.metrics);
+        assert!(none.trace.is_some());
+        assert_eq!(none, empty);
     }
 }

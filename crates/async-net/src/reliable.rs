@@ -327,7 +327,7 @@ impl<P: AsyncProtocol> AsyncProtocol for Reliable<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_async, run_async_faulted, AsyncConfig, DelayModel, PassiveAsync};
+    use crate::{run_async, AsyncConfig, DelayModel, PassiveAsync};
     use sim_net::{CrashFault, FaultPlan, Partition};
 
     /// Broadcasts once; outputs after hearing from everyone — the protocol
@@ -370,6 +370,8 @@ mod tests {
             seed: 3,
             delay: DelayModel::Uniform { min: 0.2 },
             max_events: 50_000,
+            faults: FaultPlan::none(),
+            record: false,
         };
         let report = run_async(cfg, need_all(4), PassiveAsync).unwrap();
         assert_eq!(report.outputs, vec![Some(4); 4]);
@@ -393,8 +395,10 @@ mod tests {
             seed: 8,
             delay: DelayModel::Uniform { min: 0.1 },
             max_events: 200_000,
+            faults: plan.clone(),
+            record: false,
         };
-        let report = run_async_faulted(cfg, &plan, need_all(5), PassiveAsync).unwrap();
+        let report = run_async(cfg, need_all(5), PassiveAsync).unwrap();
         assert_eq!(report.outputs, vec![Some(5); 5]);
         assert!(report.metrics.fault_drops > 0, "plan did fire");
         assert!(
@@ -425,8 +429,10 @@ mod tests {
             seed: 4,
             delay: DelayModel::Uniform { min: 0.3 },
             max_events: 200_000,
+            faults: plan.clone(),
+            record: false,
         };
-        let report = run_async_faulted(cfg, &plan, need_all(5), PassiveAsync).unwrap();
+        let report = run_async(cfg, need_all(5), PassiveAsync).unwrap();
         assert_eq!(report.outputs, vec![Some(5); 5]);
         assert!(report.metrics.retransmissions > 0);
         // Termination time extends past the last fault window.
@@ -462,10 +468,11 @@ mod tests {
             seed: 12,
             delay: DelayModel::Uniform { min: 0.2 },
             max_events: 100_000,
+            faults: plan.clone(),
+            record: false,
         };
-        let report = run_async_faulted(
+        let report = run_async(
             cfg,
-            &plan,
             |_, _| Reliable::new(CountAll { deliveries: 0 }, 4),
             PassiveAsync,
         )

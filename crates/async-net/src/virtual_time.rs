@@ -304,9 +304,8 @@ impl AsyncRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        run_async_recorded, AsyncConfig, AsyncCtx, AsyncProtocol, DelayModel, PassiveAsync,
-    };
+    use crate::{run_async_with, AsyncConfig, AsyncCtx, AsyncProtocol, DelayModel, PassiveAsync};
+    use sim_net::FaultPlan;
 
     #[test]
     fn link_delay_is_strict_and_deterministic() {
@@ -349,6 +348,7 @@ mod tests {
 
     /// Everybody broadcasts its id; outputs (and emits one proto event)
     /// after hearing from all.
+    #[derive(Debug)]
     struct Chatty {
         heard: usize,
         n: usize,
@@ -382,10 +382,11 @@ mod tests {
                 seed: 11,
                 delay: DelayModel::Uniform { min: 0.5 },
                 max_events: 100_000,
+                faults: FaultPlan::none(),
+                record: true,
             };
             let mut sched = VirtualScheduler::new(4, 11, 0.5);
-            let mut rec = AsyncRecorder::new(4, 0, "vt-test");
-            let report = run_async_recorded(
+            let report = run_async_with(
                 &cfg,
                 |_, n| Chatty {
                     heard: 0,
@@ -394,10 +395,11 @@ mod tests {
                 },
                 PassiveAsync,
                 &mut sched,
-                &mut rec,
             )
             .unwrap();
-            (report, rec.into_trace().to_canonical_string())
+            let trace = report.trace.as_ref().expect("recording is on");
+            let bytes = trace.to_canonical_string();
+            (report, bytes)
         };
         let (ra, ta) = run();
         let (rb, tb) = run();

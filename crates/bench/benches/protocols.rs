@@ -9,7 +9,7 @@ use bench::spaced_inputs;
 use byz_agreement::{PhaseKingConfig, PhaseKingParty};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gradecast::BatchGradecastProtocol;
-use sim_net::{run_simulation, Passive, SimConfig};
+use sim_net::{run_simulation, FaultPlan, Passive, SimConfig};
 use tree_model::generate;
 
 fn bench_protocols(c: &mut Criterion) {
@@ -65,6 +65,8 @@ fn bench_protocols(c: &mut Criterion) {
                         seed: 7,
                         delay: DelayModel::Uniform { min: 0.2 },
                         max_events: 10_000_000,
+                        faults: FaultPlan::none(),
+                        record: false,
                     },
                     |id, _| {
                         AsyncTreeAaParty::new(cfg.clone(), Arc::clone(&tree), inputs[id.index()])

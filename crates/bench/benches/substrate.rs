@@ -6,8 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gradecast::BatchGradecastProtocol;
 use real_aa::{RealAaConfig, RealAaParty};
 use sim_net::{
-    run_simulation_with, EngineConfig, Inbox, Passive, Payload, Protocol, RoundCtx, SimConfig,
-    StepMode,
+    run_simulation, EngineConfig, Inbox, Passive, Payload, Protocol, RoundCtx, SimConfig, StepMode,
 };
 use tree_model::{generate, list_construction, LcaTable, ProjectionTable};
 
@@ -87,8 +86,8 @@ fn bench_engine(c: &mut Criterion) {
 
         for &(suffix, mode) in &modes {
             let cfg = |n, t, max_rounds| EngineConfig {
-                sim: SimConfig { n, t, max_rounds },
                 step_mode: mode,
+                ..EngineConfig::from(SimConfig { n, t, max_rounds })
             };
 
             g.bench_with_input(
@@ -96,7 +95,7 @@ fn bench_engine(c: &mut Criterion) {
                 &n,
                 |b, &n| {
                     b.iter(|| {
-                        run_simulation_with(
+                        run_simulation(
                             cfg(n, 0, FLOOD_ROUNDS + 2),
                             |_, _| Flooder {
                                 rounds: FLOOD_ROUNDS,
@@ -115,7 +114,7 @@ fn bench_engine(c: &mut Criterion) {
                 &n,
                 |b, &n| {
                     b.iter(|| {
-                        run_simulation_with(
+                        run_simulation(
                             cfg(n, t, 8),
                             |id, nn| BatchGradecastProtocol::new(id, nn, t, id.index() as u64),
                             Passive,
@@ -134,7 +133,7 @@ fn bench_engine(c: &mut Criterion) {
                     let inputs: Vec<f64> =
                         (0..n).map(|i| 2.0 * i as f64 / (n - 1) as f64).collect();
                     b.iter(|| {
-                        run_simulation_with(
+                        run_simulation(
                             cfg(n, t, pcfg.rounds() + 5),
                             |id, _| RealAaParty::new(id, pcfg, inputs[id.index()]),
                             Passive,

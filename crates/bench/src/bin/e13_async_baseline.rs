@@ -13,7 +13,7 @@ use std::sync::Arc;
 use async_aa::{AsyncTreeAaConfig, AsyncTreeAaParty};
 use async_net::{run_async, AsyncConfig, DelayModel, SilentAsync};
 use bench::{spaced_inputs, Table};
-use sim_net::{Outcome, PartyId};
+use sim_net::{FaultPlan, Outcome, PartyId};
 use tree_aa::{check_tree_aa, EngineKind, NowakRybickiConfig, TreeAaConfig};
 use tree_model::generate;
 
@@ -50,6 +50,8 @@ fn main() {
                     seed,
                     delay,
                     max_events: 20_000_000,
+                    faults: FaultPlan::none(),
+                    record: false,
                 },
                 |id, _| AsyncTreeAaParty::new(cfg.clone(), Arc::clone(&tree), inputs[id.index()]),
                 SilentAsync {

@@ -5,7 +5,7 @@
 #![warn(missing_docs)]
 use std::sync::Arc;
 
-use sim_net::{run_simulation, Adversary, PartyId, Passive, Protocol, SimConfig};
+use sim_net::{run_simulation, Passive, SimConfig};
 use tree_aa::{EngineKind, TreeAaConfig, TreeAaParty};
 use tree_model::{LcaTable, Tree, VertexId};
 
@@ -68,29 +68,6 @@ pub fn run_tree_aa_honest(
     )
     .expect("simulation completes");
     (report.honest_outputs(), report.communication_rounds())
-}
-
-/// Runs any protocol and returns the report (thin convenience wrapper
-/// keeping the binaries terse).
-///
-/// # Panics
-///
-/// Panics if the simulation fails.
-pub fn run<P, A, F>(
-    n: usize,
-    t: usize,
-    max_rounds: u32,
-    factory: F,
-    adversary: A,
-) -> sim_net::RunReport<P::Output>
-where
-    P: Protocol + Send,
-    P::Msg: Send + Sync,
-    A: Adversary<P::Msg>,
-    F: FnMut(PartyId, usize) -> P,
-{
-    run_simulation(SimConfig { n, t, max_rounds }, factory, adversary)
-        .expect("simulation completes")
 }
 
 /// A minimal markdown table printer (the experiment outputs are recorded

@@ -303,11 +303,23 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 .unwrap_or_else(|| "none".into()),
             seed: opts.get("seed").map_or(Ok(0), |s| parse_num(s, "seed"))?,
         }),
-        "bounds" => Ok(Command::Bounds {
-            diameter: parse_num(req(&opts, "diameter")?, "diameter")?,
-            n: parse_num(req(&opts, "n")?, "n")?,
-            t: parse_num(req(&opts, "t")?, "t")?,
-        }),
+        "bounds" => {
+            let diameter: f64 = parse_num(req(&opts, "diameter")?, "diameter")?;
+            if !diameter.is_finite() || diameter < 0.0 {
+                return Err(format!(
+                    "invalid diameter: `{diameter}` (must be finite and >= 0)"
+                ));
+            }
+            let n: usize = parse_num(req(&opts, "n")?, "n")?;
+            if n == 0 {
+                return Err("n must be positive".into());
+            }
+            Ok(Command::Bounds {
+                diameter,
+                n,
+                t: parse_num(req(&opts, "t")?, "t")?,
+            })
+        }
         "fuzz" => Ok(Command::Fuzz {
             seed: opts.get("seed").map_or(Ok(0), |s| parse_num(s, "seed"))?,
             cases: opts
@@ -1274,7 +1286,7 @@ fn run_tcp_bundle_deployment(
             n,
         );
         handles.push(std::thread::spawn(move || {
-            net::run_node(&node_cfg, listener, party, || {})
+            net::run_node_durable(&node_cfg, listener, party, None, |_| 0, || {})
         }));
     }
     let mut outputs = Vec::with_capacity(n);
@@ -2643,6 +2655,22 @@ mod tests {
         assert_eq!(o.retx, 7);
         assert!(parse_outcome_line("READY").is_err());
         assert!(parse_outcome_line("OUTCOME party=1").is_err());
+    }
+
+    #[test]
+    fn bounds_rejects_parameters_the_bounds_are_undefined_for() {
+        let parse = |d: &str, n: &str| {
+            let args: Vec<String> = ["bounds", "--diameter", d, "--n", n, "--t", "1"]
+                .iter()
+                .map(ToString::to_string)
+                .collect();
+            parse_args(&args)
+        };
+        for (d, n) in [("5", "0"), ("-1", "4"), ("NaN", "4"), ("inf", "4")] {
+            let err = parse(d, n).expect_err("must be rejected at parse time");
+            assert!(err.contains("diameter") || err.contains("n must"), "{err}");
+        }
+        assert!(parse("0", "4").is_ok());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Debug harness: runs one loopback cluster and dumps stats.
-use net::{run_local_cluster, GateCase};
+use net::{run_local_cluster, ClusterOpts, GateCase};
 
 const SPIDER9: &str =
     "vertex 0\nvertex 1\nvertex 2\nvertex 3\nvertex 4\nvertex 5\nvertex 6\nvertex 7\nvertex 8\n\
@@ -15,7 +15,7 @@ fn main() {
         (seed * 7 + 2) as usize % 9,
     ];
     let case = GateCase::from_text(SPIDER9, &picks, 1, seed).expect("valid case");
-    let r = run_local_cluster(&case, secret).expect("cluster");
+    let r = run_local_cluster(&case, &ClusterOpts::new(secret)).expect("cluster");
     println!("vtimes {:?}", r.vtimes);
     println!("outcomes {:?}", r.outcomes);
     for (i, s) in r.stats.iter().enumerate() {

@@ -68,7 +68,7 @@ pub struct ClusterChaos {
     pub round_ms: u64,
 }
 
-/// Optional knobs for [`run_local_cluster_opts`].
+/// The settings of [`run_local_cluster`].
 #[derive(Clone, Debug)]
 pub struct ClusterOpts {
     /// Shared cluster secret.
@@ -103,17 +103,8 @@ impl ClusterOpts {
 }
 
 /// Runs `case` as `n` threads over real loopback sockets and merges the
-/// results.
-///
-/// # Errors
-///
-/// The first node failure (handshake, timeout, stall) or trace-merge
-/// inconsistency, as text.
-pub fn run_local_cluster(case: &GateCase, secret: u64) -> Result<ClusterReport, String> {
-    run_local_cluster_opts(case, &ClusterOpts::new(secret))
-}
-
-/// [`run_local_cluster`] with durability, recovery, and chaos knobs.
+/// results, with the durability, recovery and chaos settings of `opts`
+/// (`ClusterOpts::new(secret)` for a plain run).
 ///
 /// # Errors
 ///
@@ -123,10 +114,7 @@ pub fn run_local_cluster(case: &GateCase, secret: u64) -> Result<ClusterReport, 
 /// # Panics
 ///
 /// Panics if a chaos proxy cannot be bound on loopback.
-pub fn run_local_cluster_opts(
-    case: &GateCase,
-    opts: &ClusterOpts,
-) -> Result<ClusterReport, String> {
+pub fn run_local_cluster(case: &GateCase, opts: &ClusterOpts) -> Result<ClusterReport, String> {
     let n = case.n();
     case.protocol_config()?;
     let listeners = (0..n)

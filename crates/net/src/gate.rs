@@ -7,7 +7,7 @@
 //! can produce both
 //!
 //! * the **reference run**: `Reliable<AsyncTreeAaParty>` under the
-//!   in-process [`VirtualScheduler`] with an [`AsyncRecorder`], and
+//!   in-process [`VirtualScheduler`] with [`AsyncConfig::record`] on, and
 //! * the node/cluster configuration for the **networked run** of the
 //!   identical case (the config fingerprint in the TCP handshake is
 //!   derived here, so mismatched processes refuse to talk).
@@ -23,10 +23,9 @@ use std::sync::Arc;
 use aa_trace::{reconcile_proto, Trace};
 use async_aa::{AsyncAaMsg, AsyncTreeAaConfig, AsyncTreeAaParty};
 use async_net::{
-    run_async_recorded, splitmix64, AsyncConfig, AsyncRecorder, DelayModel, PassiveAsync, Reliable,
-    VirtualScheduler,
+    run_async_with, splitmix64, AsyncConfig, DelayModel, PassiveAsync, Reliable, VirtualScheduler,
 };
-use sim_net::{Outcome, PartyId};
+use sim_net::{FaultPlan, Outcome, PartyId};
 use tree_model::{Tree, VertexId};
 
 /// One fully pinned execution: everything both the reference simulator
@@ -162,18 +161,20 @@ impl GateCase {
                 min: self.min_delay,
             },
             max_events: 3_000_000,
+            faults: FaultPlan::none(),
+            record: true,
         };
         let mut sched: VirtualScheduler<async_net::RelMsg<AsyncAaMsg>> =
             VirtualScheduler::new(n, self.seed, self.min_delay);
-        let mut recorder = AsyncRecorder::new(n, self.t, &self.label);
-        let report = run_async_recorded(
+        let mut report = run_async_with(
             &cfg,
             |p: PartyId, _| self.party(p.index()),
             PassiveAsync,
             &mut sched,
-            &mut recorder,
         )
         .map_err(|e| e.to_string())?;
+        let mut trace = report.trace.take().expect("recording is on");
+        trace.label.clone_from(&self.label);
         let outcomes = report
             .outputs
             .into_iter()
@@ -181,10 +182,7 @@ impl GateCase {
             .map(|(i, o)| o.ok_or(i))
             .collect::<Result<Vec<_>, usize>>()
             .map_err(|i| format!("reference run: party {i} produced no output"))?;
-        Ok(ReferenceRun {
-            outcomes,
-            trace: recorder.into_trace(),
-        })
+        Ok(ReferenceRun { outcomes, trace })
     }
 }
 

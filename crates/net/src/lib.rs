@@ -7,15 +7,12 @@
 //! one OS process (or thread) per party, and still reproduces the
 //! in-process schedule bit for bit. The layers, bottom up:
 //!
-//! * [`frame`] — length-prefixed framing with an incremental,
+//! * [`frame`](mod@frame) — length-prefixed framing with an incremental,
 //!   desync-proof decoder;
 //! * [`mac`] — SipHash-2-4 under pairwise keys from a cluster secret;
 //! * [`codec`] — total binary codecs for the protocol messages;
 //! * [`wire`] — the authenticated [`wire::WrapperMsg`] envelope
 //!   (handshake, data, virtual-time promises, completion);
-//! * [`node`] — the per-party TCP node: connect/accept with peer
-//!   handshakes, per-peer send queues, capped-backoff reconnects, and a
-//!   conservative virtual-time main loop;
 //! * [`wal`] — a per-node write-ahead log of protocol-relevant state
 //!   transitions (checksummed, torn-tail tolerant) that lets a
 //!   SIGKILLed node replay itself back to its crash point;
@@ -44,10 +41,7 @@ pub mod wal;
 pub mod wire;
 
 pub use chaos::{seeded_plan, spawn_chaos_proxy, ChaosConfig, ChaosProxy};
-pub use cluster::{
-    node_config, run_local_cluster, run_local_cluster_opts, ClusterChaos, ClusterOpts,
-    ClusterReport,
-};
+pub use cluster::{node_config, run_local_cluster, ClusterChaos, ClusterOpts, ClusterReport};
 pub use codec::{
     bundle_frame_bytes, check_bundle_frame, CodecError, OversizedBundle, Reader, WireCodec,
 };
@@ -55,8 +49,7 @@ pub use frame::{frame, FrameBuffer, FrameError, MAX_FRAME, PREFIX_LEN};
 pub use gate::{differential_gate, proto_fingerprint, GateCase, ReferenceRun};
 pub use mac::{pair_key, siphash24, MacKey};
 pub use node::{
-    run_node, run_node_durable, Durability, NetError, NetStats, NodeConfig, NodeReport,
-    ReconnectPolicy,
+    run_node_durable, Durability, NetError, NetStats, NodeConfig, NodeReport, ReconnectPolicy,
 };
 pub use wal::{read_wal, WalCursor, WalError, WalHeader, WalRecord, WalScan, WalWriter};
 pub use wire::{FrameKind, HelloBody, WrapperMsg, WIRE_VERSION};

@@ -370,7 +370,7 @@ pub struct NetStats {
     pub dup_frames: u64,
     /// Dead peers revived by a successful re-handshake.
     pub revived_peers: u64,
-    /// Retained frames evicted past [`RETAIN_CAP`].
+    /// Retained frames evicted past the per-link retention cap.
     pub retain_evicted: u64,
 }
 
@@ -1056,48 +1056,27 @@ fn reconnect_loop(shared: &Arc<Shared>, cfg: &NodeConfig, peer: usize) {
     shared.cv.notify_all();
 }
 
-/// Runs the protocol over real sockets until global termination.
+/// Runs the protocol over real sockets until global termination, with an
+/// optional write-ahead log and crash recovery.
 ///
 /// `listener` must already be bound (bind first, share the address,
 /// then start the cluster — this is what makes port assignment
 /// race-free). `on_ready` fires once every link is up, right before
 /// virtual time starts.
 ///
+/// `durability` attaches the WAL (`None` runs without one). `probe`
+/// fingerprints the protocol state; it is stamped into periodic WAL marks
+/// and re-checked during replay, so a divergent recovery is detected
+/// instead of silently corrupting the run. Pass `|_| 0` when no
+/// meaningful fingerprint exists.
+///
 /// # Errors
 ///
 /// [`NetError`] on configuration, handshake, wall-clock, or event-cap
-/// failures. Peer crashes are *not* errors: the node keeps going and
-/// lets the protocol degrade.
-///
-/// # Panics
-///
-/// Panics if an internal lock is poisoned (a helper thread panicked).
-pub fn run_node<P, R>(
-    cfg: &NodeConfig,
-    listener: TcpListener,
-    proto: P,
-    on_ready: R,
-) -> Result<NodeReport<P::Output>, NetError>
-where
-    P: AsyncProtocol,
-    P::Msg: WireCodec,
-    R: FnOnce(),
-{
-    run_node_durable(cfg, listener, proto, None, |_| 0, on_ready)
-}
-
-/// [`run_node`] with an optional write-ahead log and crash recovery.
-///
-/// `probe` fingerprints the protocol state; it is stamped into periodic
-/// WAL marks and re-checked during replay, so a divergent recovery is
-/// detected instead of silently corrupting the run. Pass `|_| 0` when
-/// no meaningful fingerprint exists.
-///
-/// # Errors
-///
-/// Everything [`run_node`] returns, plus [`NetError::Recovery`] when an
-/// existing WAL cannot be replayed (corrupt, mismatched configuration,
-/// or diverged) and [`NetError::Io`] when an append fails mid-run.
+/// failures; [`NetError::Recovery`] when an existing WAL cannot be
+/// replayed (corrupt, mismatched configuration, or diverged) and
+/// [`NetError::Io`] when an append fails mid-run. Peer crashes are *not*
+/// errors: the node keeps going and lets the protocol degrade.
 ///
 /// # Panics
 ///
@@ -2030,7 +2009,8 @@ mod tests {
         cfg.reconnect = policy;
         cfg.handshake_timeout = Duration::from_secs(5);
         cfg.wall_timeout = Duration::from_secs(20);
-        let report = run_node(&cfg, my_listener, InstantProto, || {}).expect("node run");
+        let report = run_node_durable(&cfg, my_listener, InstantProto, None, |_| 0, || {})
+            .expect("node run");
         fake.join().expect("fake peer");
         assert_eq!(report.output, Some(1));
         (report.trace, report.stats)

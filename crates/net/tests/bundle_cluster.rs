@@ -7,7 +7,7 @@ use std::net::TcpListener;
 use std::thread;
 
 use async_net::Reliable;
-use net::{run_node, NodeConfig};
+use net::{run_node_durable, NodeConfig};
 use real_aa::{BundledAaParty, RealAaConfig};
 use sim_net::{run_simulation, PartyId, Passive, SimConfig};
 
@@ -61,7 +61,7 @@ fn bundled_party_runs_over_real_sockets() {
             N,
         );
         handles.push(thread::spawn(move || {
-            run_node(&node_cfg, listener, party, || {})
+            run_node_durable(&node_cfg, listener, party, None, |_| 0, || {})
         }));
     }
 

@@ -11,7 +11,7 @@
 //! asynchronous model grants it.
 
 use net::node::ReconnectPolicy;
-use net::{run_local_cluster_opts, seeded_plan, ClusterChaos, ClusterOpts, GateCase};
+use net::{run_local_cluster, seeded_plan, ClusterChaos, ClusterOpts, GateCase};
 use std::time::Duration;
 use tree_model::VertexId;
 
@@ -49,7 +49,7 @@ fn run_seed(seed: u64) {
         plan: seeded_plan(seed, case.n()),
         round_ms: 40,
     });
-    let report = run_local_cluster_opts(&case, &opts)
+    let report = run_local_cluster(&case, &opts)
         .unwrap_or_else(|e| panic!("seed {seed}: chaos run failed: {e}"));
 
     // Correctness under chaos: non-degraded, 1-agreeing, in-hull.
@@ -116,7 +116,7 @@ fn chaos_actually_injects_faults_somewhere() {
             plan: seeded_plan(seed, case.n()),
             round_ms: 40,
         });
-        let report = run_local_cluster_opts(&case, &opts)
+        let report = run_local_cluster(&case, &opts)
             .unwrap_or_else(|e| panic!("seed {seed}: chaos run failed: {e}"));
         for o in &report.outcomes {
             assert!(!o.is_degraded(), "seed {seed}");

@@ -2,7 +2,7 @@
 //! replay the in-process reference schedule bit for bit, across many
 //! seeds, and across reruns.
 
-use net::{differential_gate, run_local_cluster, GateCase};
+use net::{differential_gate, run_local_cluster, ClusterOpts, GateCase};
 use tree_model::VertexId;
 
 const SPIDER9: &str =
@@ -40,7 +40,8 @@ fn twenty_seeded_cases_pass_the_differential_gate() {
     for seed in 0..20u64 {
         let case = case_for(seed);
         let reference = case.reference_run().expect("reference run");
-        let cluster = run_local_cluster(&case, 0xc0ff_ee00 + seed).expect("cluster run");
+        let cluster =
+            run_local_cluster(&case, &ClusterOpts::new(0xc0ff_ee00 + seed)).expect("cluster run");
 
         check_agreement(&case, &cluster.outcomes);
         assert_eq!(
@@ -69,8 +70,8 @@ fn twenty_seeded_cases_pass_the_differential_gate() {
 fn networked_reruns_are_bit_identical() {
     for seed in [3u64, 11] {
         let case = case_for(seed);
-        let a = run_local_cluster(&case, 0xaaaa).expect("first run");
-        let b = run_local_cluster(&case, 0xbbbb).expect("second run");
+        let a = run_local_cluster(&case, &ClusterOpts::new(0xaaaa)).expect("first run");
+        let b = run_local_cluster(&case, &ClusterOpts::new(0xbbbb)).expect("second run");
         assert_eq!(
             a.merged_trace.to_canonical_string(),
             b.merged_trace.to_canonical_string(),

@@ -1,4 +1,4 @@
-//! Adversarial transport tests: a real `run_node` instance is attacked
+//! Adversarial transport tests: a real `run_node_durable` instance is attacked
 //! over a live TCP connection by a raw-socket peer that speaks the wire
 //! format but misbehaves — tampered payloads, wrong-key MACs, replayed
 //! envelopes. Every attack must be rejected, surfaced as a traced
@@ -120,8 +120,9 @@ fn tampered_wrong_key_and_replayed_frames_are_rejected_never_delivered() {
     let addr = listener.local_addr().unwrap();
     let cfg = NodeConfig::new(0, 2, 0, vec![addr, addr], SECRET, CONFIG_FP, 7);
 
-    let node =
-        thread::spawn(move || net::run_node(&cfg, listener, Sink { got: Vec::new() }, || {}));
+    let node = thread::spawn(move || {
+        net::run_node_durable(&cfg, listener, Sink { got: Vec::new() }, None, |_| 0, || {})
+    });
 
     let mut peer = RawPeer::connect(addr);
 
@@ -203,7 +204,7 @@ fn mismatched_config_fingerprint_is_refused_at_handshake() {
         let mut cfg = cfg;
         // Keep the run short: this node will never hear a valid peer.
         cfg.handshake_timeout = Duration::from_millis(600);
-        net::run_node(&cfg, listener, Sink { got: Vec::new() }, || {})
+        net::run_node_durable(&cfg, listener, Sink { got: Vec::new() }, None, |_| 0, || {})
     });
 
     // A peer launched with a different execution fingerprint (other

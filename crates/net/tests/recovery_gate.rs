@@ -14,7 +14,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use net::{
-    differential_gate, proto_fingerprint, read_wal, run_local_cluster_opts, ClusterOpts, GateCase,
+    differential_gate, proto_fingerprint, read_wal, run_local_cluster, ClusterOpts, GateCase,
     ReconnectPolicy, WalCursor,
 };
 
@@ -77,7 +77,7 @@ fn a_truncated_node_recovers_and_the_gate_still_holds() {
     opts.reconnect = Some(ReconnectPolicy::patient());
 
     // Run 1: a clean durable run, leaving complete WALs behind.
-    let clean = run_local_cluster_opts(&case, &opts).expect("clean durable run");
+    let clean = run_local_cluster(&case, &opts).expect("clean durable run");
     assert_eq!(clean.outcomes, reference.outcomes);
     differential_gate(&reference.trace, &clean.merged_trace).expect("clean gate");
 
@@ -90,7 +90,7 @@ fn a_truncated_node_recovers_and_the_gate_still_holds() {
     // Run 2: node 2 replays its prefix and rejoins; everyone else
     // starts fresh (their WALs are re-created).
     opts.recover = vec![crashed];
-    let recovered = run_local_cluster_opts(&case, &opts).expect("recovered run");
+    let recovered = run_local_cluster(&case, &opts).expect("recovered run");
 
     assert_eq!(
         recovered.outcomes, reference.outcomes,
@@ -132,7 +132,7 @@ fn recovery_reruns_are_bit_identical() {
     let mut opts = ClusterOpts::new(0xbeef);
     opts.wal_dir = Some(scratch.0.clone());
     opts.reconnect = Some(ReconnectPolicy::patient());
-    run_local_cluster_opts(&case, &opts).expect("clean durable run");
+    run_local_cluster(&case, &opts).expect("clean durable run");
 
     let crashed = 1usize;
     cut_wal_in_half(&scratch.0, crashed);
@@ -142,9 +142,9 @@ fn recovery_reruns_are_bit_identical() {
     let snapshot = fs::read(&wal_path).expect("snapshot wal");
 
     opts.recover = vec![crashed];
-    let a = run_local_cluster_opts(&case, &opts).expect("first recovery");
+    let a = run_local_cluster(&case, &opts).expect("first recovery");
     fs::write(&wal_path, &snapshot).expect("restore wal");
-    let b = run_local_cluster_opts(&case, &opts).expect("second recovery");
+    let b = run_local_cluster(&case, &opts).expect("second recovery");
 
     assert_eq!(
         a.merged_trace.to_canonical_string(),
@@ -164,12 +164,12 @@ fn a_recovered_wal_is_itself_readable() {
 
     let mut opts = ClusterOpts::new(0xcafe);
     opts.wal_dir = Some(scratch.0.clone());
-    run_local_cluster_opts(&case, &opts).expect("clean durable run");
+    run_local_cluster(&case, &opts).expect("clean durable run");
 
     let crashed = 3usize;
     let kept = cut_wal_in_half(&scratch.0, crashed);
     opts.recover = vec![crashed];
-    run_local_cluster_opts(&case, &opts).expect("recovered run");
+    run_local_cluster(&case, &opts).expect("recovered run");
 
     let scan = read_wal(&scratch.0.join(format!("node{crashed}.wal"))).expect("readable wal");
     assert!(

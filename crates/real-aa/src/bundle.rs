@@ -340,7 +340,7 @@ impl AsyncProtocol for BundledAaParty {
 mod tests {
     use super::*;
     use async_net::{run_async, AsyncConfig, DelayModel, PassiveAsync, Reliable, SilentAsync};
-    use sim_net::{run_simulation, Passive, SimConfig};
+    use sim_net::{run_simulation, FaultPlan, Passive, SimConfig};
 
     fn cfg(n: usize, t: usize) -> RealAaConfig {
         RealAaConfig::new(n, t, 0.5, 10.0).unwrap()
@@ -404,6 +404,8 @@ mod tests {
                     seed,
                     delay: DelayModel::Uniform { min: 0.1 },
                     max_events: 200_000,
+                    faults: FaultPlan::none(),
+                    record: false,
                 },
                 |id, _| BundledAaParty::new(id, cfg, inputs[id.index()].clone()).unwrap(),
                 PassiveAsync,
@@ -426,6 +428,8 @@ mod tests {
                 seed: 3,
                 delay: DelayModel::Uniform { min: 0.1 },
                 max_events: 400_000,
+                faults: FaultPlan::none(),
+                record: false,
             },
             |id, _| {
                 Reliable::new(
@@ -492,9 +496,7 @@ mod tests {
     #[test]
     fn binding_holds_under_colliding_vote_hashes() {
         use gradecast::{GcSlots, GcValue};
-        use sim_net::{
-            run_simulation_traced, AdversaryCtx, EngineConfig, EventKind, StaticByzantine,
-        };
+        use sim_net::{AdversaryCtx, EngineConfig, EventKind, StaticByzantine};
         use std::sync::Arc;
 
         let (x, x2) = (R64::new(X), R64::new(X2));
@@ -533,16 +535,21 @@ mod tests {
             },
         };
         let inputs: Vec<Vec<f64>> = (0..7).map(|p| vec![p as f64, 1.0]).collect();
-        let (_, trace) = run_simulation_traced(
-            EngineConfig::from(SimConfig {
-                n: 7,
-                t: 2,
-                max_rounds: 10 + cfg.rounds(),
-            }),
+        let trace = run_simulation(
+            EngineConfig {
+                trace: true,
+                ..EngineConfig::from(SimConfig {
+                    n: 7,
+                    t: 2,
+                    max_rounds: 10 + cfg.rounds(),
+                })
+            },
             |id, _| BundledAaParty::new(id, cfg, inputs[id.index()].clone()).unwrap(),
             adv,
         )
-        .unwrap();
+        .unwrap()
+        .trace
+        .expect("tracing is on");
         let grades: Vec<(usize, u64, Option<f64>)> = trace
             .events
             .iter()

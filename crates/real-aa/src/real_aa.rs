@@ -399,10 +399,7 @@ impl Protocol for RealAaParty {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_net::{
-        run_simulation, run_simulation_traced, CrashAdversary, EngineConfig, Passive, SimConfig,
-        StepMode,
-    };
+    use sim_net::{run_simulation, CrashAdversary, EngineConfig, Passive, SimConfig, StepMode};
 
     fn spread(outs: &[f64]) -> f64 {
         let lo = outs.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -563,21 +560,24 @@ mod tests {
         let cfg = RealAaConfig::new(n, t, 1.0, 2.0).unwrap();
         let inputs: Vec<f64> = (0..n).map(|i| (i % 17) as f64 / 8.0).collect();
         let run = |mode| {
-            run_simulation_traced(
+            let mut report = run_simulation(
                 EngineConfig {
-                    sim: SimConfig {
+                    step_mode: mode,
+                    trace: true,
+                    ..EngineConfig::from(SimConfig {
                         n,
                         t,
                         max_rounds: 10 + cfg.rounds(),
-                    },
-                    step_mode: mode,
+                    })
                 },
                 |id, _| RealAaParty::new(id, cfg, inputs[id.index()]),
                 CrashAdversary {
                     crashes: vec![(PartyId(3), 2)],
                 },
             )
-            .unwrap()
+            .unwrap();
+            let trace = report.trace.take().expect("tracing is on");
+            (report, trace)
         };
         let (ref_report, ref_trace) = run(StepMode::Sequential);
         let ref_bytes = ref_trace.to_canonical_string();
@@ -604,7 +604,7 @@ mod tests {
 mod trajectory_tests {
     use super::*;
     use aa_trace::Json;
-    use sim_net::{run_simulation_traced, EngineConfig, EventKind, Passive, SimConfig, StepMode};
+    use sim_net::{run_simulation, EngineConfig, EventKind, Passive, SimConfig, StepMode};
 
     /// Every completed iteration emits one `realaa.iter` event per party
     /// carrying the value after that iteration.
@@ -614,14 +614,15 @@ mod trajectory_tests {
         let t = 1;
         let cfg = RealAaConfig::new(n, t, 1.0, 64.0).unwrap();
         let inputs = [0.0, 64.0, 16.0, 48.0];
-        let (report, trace) = run_simulation_traced(
+        let report = run_simulation(
             EngineConfig {
-                sim: SimConfig {
+                step_mode: StepMode::Sequential,
+                trace: true,
+                ..EngineConfig::from(SimConfig {
                     n,
                     t,
                     max_rounds: cfg.rounds() + 1,
-                },
-                step_mode: StepMode::Sequential,
+                })
             },
             |id, _| RealAaParty::new(id, cfg, inputs[id.index()]),
             Passive,
@@ -629,7 +630,7 @@ mod trajectory_tests {
         .unwrap();
         assert_eq!(report.honest_outputs().len(), n);
         let mut values: Vec<Vec<f64>> = vec![Vec::new(); n];
-        for e in &trace.events {
+        for e in &report.trace.as_ref().expect("tracing is on").events {
             if let EventKind::Proto { party, event } = &e.kind {
                 if event.label == "realaa.iter" {
                     let Some(Json::Num(v)) = event.field("value") else {

@@ -16,9 +16,8 @@ use aa_trace::Json;
 use gradecast::{GcBatchMsg, GcBundleMsg, GcSlots};
 use real_aa::{BundledAaMsg, BundledAaParty, RealAaConfig, RealAaMsg, RealAaParty, R64};
 use sim_net::{
-    run_simulation_faulted_traced, Adversary, AdversaryCtx, CrashAdversary, CrashFault,
-    EngineConfig, EventKind, FaultPlan, Partition, PartyId, Passive, SimConfig, StaticByzantine,
-    StepMode, Trace,
+    run_simulation, Adversary, AdversaryCtx, CrashAdversary, CrashFault, EngineConfig, EventKind,
+    FaultPlan, Partition, PartyId, Passive, SimConfig, StaticByzantine, StepMode, Trace,
 };
 
 const N: usize = 7;
@@ -50,14 +49,18 @@ fn input(p: usize, j: usize) -> f64 {
     }
 }
 
-fn engine(cfg: &RealAaConfig, mode: StepMode) -> EngineConfig {
-    let mut e = EngineConfig::from(SimConfig {
-        n: N,
-        t: T,
-        max_rounds: 10 + cfg.rounds(),
-    });
-    e.step_mode = mode;
-    e
+/// A traced run in `mode` under `plan`.
+fn engine(cfg: &RealAaConfig, mode: StepMode, plan: &FaultPlan) -> EngineConfig {
+    EngineConfig {
+        step_mode: mode,
+        faults: plan.clone(),
+        trace: true,
+        ..EngineConfig::from(SimConfig {
+            n: N,
+            t: T,
+            max_rounds: 10 + cfg.rounds(),
+        })
+    }
 }
 
 /// `(round, party, label, fields)` — a protocol event with enough
@@ -120,9 +123,8 @@ fn assert_bundle_equivalent<AB, AS>(
     AB: Adversary<BundledAaMsg>,
     AS: Adversary<RealAaMsg>,
 {
-    let (bundled, btrace) = run_simulation_faulted_traced(
-        engine(&cfg, mode),
-        plan,
+    let mut bundled = run_simulation(
+        engine(&cfg, mode, plan),
         |id, _| {
             BundledAaParty::new(id, cfg, (0..k).map(|j| input(id.index(), j)).collect())
                 .expect("k >= 1")
@@ -130,16 +132,17 @@ fn assert_bundle_equivalent<AB, AS>(
         adv_bundle,
     )
     .expect("bundled run");
+    let btrace = bundled.trace.take().expect("tracing is on");
 
     let mut slowest = 0;
     for j in 0..k {
-        let (solo, strace) = run_simulation_faulted_traced(
-            engine(&cfg, mode),
-            plan,
+        let solo = run_simulation(
+            engine(&cfg, mode, plan),
             |id, _| RealAaParty::new(id, cfg, input(id.index(), j)),
             adv_solo(),
         )
         .expect("solo run");
+        let strace = solo.trace.as_ref().expect("tracing is on");
 
         for p in 0..cfg.n {
             assert_eq!(
@@ -158,7 +161,7 @@ fn assert_bundle_equivalent<AB, AS>(
         );
         assert_eq!(
             bundled_instance_events(&btrace, j as u64),
-            solo_events(&strace),
+            solo_events(strace),
             "instance {j}: protocol event streams diverge ({mode:?})"
         );
         slowest = slowest.max(solo.rounds_executed);

@@ -10,20 +10,20 @@
 
 use real_aa::adversary::BudgetSplitEquivocator;
 use real_aa::{RealAaConfig, RealAaParty};
-use sim_net::{run_simulation_with, EngineConfig, PartyId, RunReport, SimConfig, StepMode};
+use sim_net::{run_simulation, EngineConfig, PartyId, RunReport, SimConfig, StepMode};
 
 fn run_mode(n: usize, mode: StepMode) -> RunReport<f64> {
     let t = (n - 1) / 3;
     let cfg = RealAaConfig::new(n, t, 1.0, 100.0).unwrap();
     let inputs: Vec<f64> = (0..n).map(|i| 100.0 * i as f64 / (n - 1) as f64).collect();
-    run_simulation_with(
+    run_simulation(
         EngineConfig {
-            sim: SimConfig {
+            step_mode: mode,
+            ..EngineConfig::from(SimConfig {
                 n,
                 t,
                 max_rounds: cfg.rounds() + 5,
-            },
-            step_mode: mode,
+            })
         },
         |id, _| RealAaParty::new(id, cfg, inputs[id.index()]),
         sim_net::Passive,
@@ -57,14 +57,14 @@ fn parallel_equals_sequential_under_rushing_adversary() {
     let cfg = RealAaConfig::new(n, t, 1.0, 100.0).unwrap();
     let inputs = [0.0, 0.0, 0.0, 100.0, 30.0, 60.0, 90.0];
     let run = |mode: StepMode| {
-        run_simulation_with(
+        run_simulation(
             EngineConfig {
-                sim: SimConfig {
+                step_mode: mode,
+                ..EngineConfig::from(SimConfig {
                     n,
                     t,
                     max_rounds: cfg.rounds() + 5,
-                },
-                step_mode: mode,
+                })
             },
             |id, _| RealAaParty::new(id, cfg, inputs[id.index()]),
             BudgetSplitEquivocator::new(n, vec![PartyId(0), PartyId(1)], vec![1, 1]),

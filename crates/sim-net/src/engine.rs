@@ -99,17 +99,54 @@ pub fn auto_threads(n: usize, cores: usize) -> usize {
     }
 }
 
-/// Engine parameters beyond the protocol-visible [`SimConfig`].
+/// Everything [`run_simulation`] can be told beyond the protocol-visible
+/// [`SimConfig`].
 ///
-/// `SimConfig` stays a three-field literal everywhere; tuning knobs that
-/// cannot change observable behaviour live here instead. Build one with
-/// `EngineConfig::from(sim_config)` and override fields as needed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// `SimConfig` stays a three-field literal everywhere; the engine's own
+/// settings live here. Build one with `EngineConfig::from(sim_config)` and
+/// override fields as needed. The step mode never changes the report, and
+/// the trace switch only fills [`RunReport::trace`]; the fault plan does
+/// change what happens.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EngineConfig {
     /// The protocol-visible parameters.
     pub sim: SimConfig,
     /// How parties are stepped within a round.
     pub step_mode: StepMode,
+    /// Benign faults the engine applies on top of whatever the Byzantine
+    /// adversary does; [`FaultPlan::none`] by default. An empty plan
+    /// ([`FaultPlan::is_empty`]) runs exactly as no plan.
+    ///
+    /// Lockstep fault semantics (the documented choice):
+    ///
+    /// * **Crash (frozen).** While a party is down it is not stepped — its
+    ///   protocol state is frozen — its sends are suppressed, and inbound
+    ///   traffic is lost, except that traffic sent in the round
+    ///   immediately preceding recovery is delivered (it arrives as the
+    ///   party comes back up). On recovery the party is stepped again with
+    ///   the current *absolute* round number, so fixed-schedule protocols
+    ///   stay aligned. Parties still down when the run ends are reported
+    ///   in [`RunReport::crashed`] with `None` outputs and are excluded
+    ///   from the termination condition.
+    /// * **Partition.** A message crossing an active cut is dropped
+    ///   (traced as a `fault_drop` event, costing nothing); a broadcast
+    ///   from a sender with severed recipients is delivered as
+    ///   per-recipient unicasts to the reachable side.
+    ///
+    /// Probabilistic link faults have no lockstep meaning and are
+    /// rejected with [`SimError::BadFaultPlan`].
+    pub faults: FaultPlan,
+    /// Turns the flight recorder on: the report then carries a [`Trace`]
+    /// of every round boundary, fault firing, delivered send, adversary
+    /// action, and protocol-level event.
+    ///
+    /// The trace's canonical JSON is **byte-identical** across step
+    /// modes, because events are appended in a fixed order derived from
+    /// party ids, never from thread scheduling — round start, fault
+    /// firings, protocol events in party-id order, adversary actions,
+    /// deliveries (broadcasts by sender id, then unicasts by sender id,
+    /// then injections in injection order), round end.
+    pub trace: bool,
 }
 
 impl From<SimConfig> for EngineConfig {
@@ -117,6 +154,8 @@ impl From<SimConfig> for EngineConfig {
         EngineConfig {
             sim,
             step_mode: StepMode::Auto,
+            faults: FaultPlan::none(),
+            trace: false,
         }
     }
 }
@@ -174,6 +213,8 @@ pub struct RunReport<O> {
     pub rounds_executed: u32,
     /// Communication metrics.
     pub metrics: Metrics,
+    /// The flight recording, when [`EngineConfig::trace`] was on.
+    pub trace: Option<Trace>,
 }
 
 impl<O: Clone> RunReport<O> {
@@ -350,24 +391,29 @@ where
 }
 
 /// Runs a protocol instance against an adversary until every honest party
-/// outputs, with default engine tuning ([`StepMode::Auto`]).
+/// outputs.
 ///
-/// `factory(id, n)` builds the party state machine for each id. The
-/// adversary is invoked after the parties in every round (rushing) and may
-/// adaptively corrupt up to `cfg.t` parties.
+/// `cfg` is a bare [`SimConfig`] for the default engine settings, or an
+/// [`EngineConfig`] that also picks the step mode, a [`FaultPlan`] and
+/// the flight recorder. `factory(id, n)` builds the party state machine
+/// for each id. The adversary is invoked after the parties in every round
+/// (rushing) and may adaptively corrupt up to `cfg.t` parties.
 ///
 /// # Errors
 ///
 /// * [`SimError::BadConfig`] if `n == 0` or `t >= n`.
 /// * [`SimError::MaxRoundsExceeded`] if some honest party has no output
 ///   after `cfg.max_rounds` rounds — typically a deadlocked or
-///   non-terminating protocol under test.
+///   non-terminating protocol under test. A partial trace is discarded.
+/// * [`SimError::BadFaultPlan`] if the fault plan is structurally invalid
+///   or uses probabilistic link faults (which have no lockstep meaning —
+///   run those through `async-net`).
 ///
 /// # Example
 ///
 /// See the crate-level documentation.
 pub fn run_simulation<P, A, F>(
-    cfg: SimConfig,
+    cfg: impl Into<EngineConfig>,
     factory: F,
     adversary: A,
 ) -> Result<RunReport<P::Output>, SimError>
@@ -377,132 +423,13 @@ where
     A: Adversary<P::Msg>,
     F: FnMut(PartyId, usize) -> P,
 {
-    run_simulation_with(EngineConfig::from(cfg), factory, adversary)
-}
-
-/// [`run_simulation`] with explicit engine tuning (step mode).
-///
-/// The step mode cannot change observable behaviour — reports from any two
-/// modes are equal — so choosing it is purely a throughput decision.
-///
-/// # Errors
-///
-/// As [`run_simulation`].
-pub fn run_simulation_with<P, A, F>(
-    cfg: EngineConfig,
-    factory: F,
-    adversary: A,
-) -> Result<RunReport<P::Output>, SimError>
-where
-    P: Protocol + Send,
-    P::Msg: Send + Sync,
-    A: Adversary<P::Msg>,
-    F: FnMut(PartyId, usize) -> P,
-{
-    run_inner(cfg, factory, adversary, None, None)
-}
-
-/// [`run_simulation_with`] under a [`FaultPlan`]: the engine applies the
-/// plan's scheduled crash/recovery windows and partitions on top of
-/// whatever the Byzantine adversary does.
-///
-/// Lockstep fault semantics (the documented choice):
-///
-/// * **Crash (frozen).** While a party is down it is not stepped — its
-///   protocol state is frozen — its sends are suppressed, and inbound
-///   traffic is lost, except that traffic sent in the round immediately
-///   preceding recovery is delivered (it arrives as the party comes back
-///   up). On recovery the party is stepped again with the current
-///   *absolute* round number, so fixed-schedule protocols stay aligned.
-///   Parties still down when the run ends are reported in
-///   [`RunReport::crashed`] with `None` outputs and are excluded from the
-///   termination condition.
-/// * **Partition.** A message crossing an active cut is dropped (traced as
-///   a `fault_drop` event, costing nothing); a broadcast from a sender
-///   with severed recipients is delivered as per-recipient unicasts to the
-///   reachable side.
-///
-/// # Errors
-///
-/// As [`run_simulation`], plus [`SimError::BadFaultPlan`] if the plan is
-/// structurally invalid or uses probabilistic link faults (which have no
-/// lockstep meaning — run those through `async-net`).
-pub fn run_simulation_faulted<P, A, F>(
-    cfg: EngineConfig,
-    plan: &FaultPlan,
-    factory: F,
-    adversary: A,
-) -> Result<RunReport<P::Output>, SimError>
-where
-    P: Protocol + Send,
-    P::Msg: Send + Sync,
-    A: Adversary<P::Msg>,
-    F: FnMut(PartyId, usize) -> P,
-{
-    run_inner(cfg, factory, adversary, None, Some(plan))
-}
-
-/// [`run_simulation_faulted`] with the flight recorder on: every fault
-/// firing (crash, recovery, partition boundary, dropped message) appears
-/// in the trace in a fixed order, so faulted traces remain byte-identical
-/// across step modes.
-///
-/// # Errors
-///
-/// As [`run_simulation_faulted`]; the partial trace is discarded on error.
-pub fn run_simulation_faulted_traced<P, A, F>(
-    cfg: EngineConfig,
-    plan: &FaultPlan,
-    factory: F,
-    adversary: A,
-) -> Result<(RunReport<P::Output>, Trace), SimError>
-where
-    P: Protocol + Send,
-    P::Msg: Send + Sync,
-    A: Adversary<P::Msg>,
-    F: FnMut(PartyId, usize) -> P,
-{
-    let mut trace = Trace::new(cfg.sim.n, cfg.sim.t, "");
-    let report = run_inner(cfg, factory, adversary, Some(&mut trace), Some(plan))?;
-    Ok((report, trace))
-}
-
-/// [`run_simulation_with`] with the flight recorder on: returns the report
-/// together with a [`Trace`] of every round boundary, delivered send,
-/// adversary action, and protocol-level event.
-///
-/// The trace is deterministic in the strongest sense: its canonical JSON is
-/// **byte-identical** across step modes, because events are appended in a
-/// fixed order derived from party ids, never from thread scheduling —
-/// round start, protocol events in party-id order, adversary actions,
-/// deliveries (broadcasts by sender id, then unicasts by sender id, then
-/// injections in injection order), round end.
-///
-/// # Errors
-///
-/// As [`run_simulation`]; the partial trace is discarded on error.
-pub fn run_simulation_traced<P, A, F>(
-    cfg: EngineConfig,
-    factory: F,
-    adversary: A,
-) -> Result<(RunReport<P::Output>, Trace), SimError>
-where
-    P: Protocol + Send,
-    P::Msg: Send + Sync,
-    A: Adversary<P::Msg>,
-    F: FnMut(PartyId, usize) -> P,
-{
-    let mut trace = Trace::new(cfg.sim.n, cfg.sim.t, "");
-    let report = run_inner(cfg, factory, adversary, Some(&mut trace), None)?;
-    Ok((report, trace))
+    run_inner(cfg.into(), factory, adversary)
 }
 
 fn run_inner<P, A, F>(
     cfg: EngineConfig,
     factory: F,
     mut adversary: A,
-    mut trace: Option<&mut Trace>,
-    plan: Option<&FaultPlan>,
 ) -> Result<RunReport<P::Output>, SimError>
 where
     P: Protocol + Send,
@@ -521,6 +448,8 @@ where
             reason: format!("t = {t} must be < n = {n}"),
         });
     }
+    // An empty plan takes the plan-free path: no per-message plan checks.
+    let plan = (!cfg.faults.is_empty()).then_some(&cfg.faults);
     if let Some(plan) = plan {
         plan.validate(n).map_err(|e| SimError::BadFaultPlan {
             reason: e.to_string(),
@@ -555,7 +484,8 @@ where
     // Fault-plan state: which parties are currently down (crashed).
     let mut down = vec![false; n];
 
-    let tracing = trace.is_some();
+    let mut trace = cfg.trace.then(|| Trace::new(n, t, ""));
+    let tracing = cfg.trace;
     for round in 1..=max_rounds {
         // 0. Apply the fault plan's scheduled state for this round.
         let mut newly_crashed: Vec<usize> = Vec::new();
@@ -583,7 +513,7 @@ where
         } else {
             step_sequential(&mut parties, &inboxes, round, n, tracing, &down)
         };
-        if let Some(tr) = trace.as_deref_mut() {
+        if let Some(tr) = trace.as_mut() {
             tr.push(round, EventKind::RoundStart);
             if let Some(plan) = plan {
                 for (id, p) in plan.partitions.iter().enumerate() {
@@ -630,7 +560,7 @@ where
             };
             adversary.round(&mut actx);
         }
-        if let Some(tr) = trace.as_deref_mut() {
+        if let Some(tr) = trace.as_mut() {
             for i in 0..n {
                 if corrupted[i] && !corrupted_before[i] {
                     tr.push(round, EventKind::Corrupt { party: i });
@@ -671,7 +601,7 @@ where
                     let plan = plan.expect("cut implies a plan");
                     for (j, inbox) in inboxes.iter_mut().enumerate() {
                         if plan.severed(round, i, j) {
-                            if let Some(tr) = trace.as_deref_mut() {
+                            if let Some(tr) = trace.as_mut() {
                                 tr.push(round, EventKind::FaultDrop { from: i, to: j });
                             }
                             continue;
@@ -682,7 +612,7 @@ where
                         } else {
                             rm.honest_messages += 1;
                         }
-                        if let Some(tr) = trace.as_deref_mut() {
+                        if let Some(tr) = trace.as_mut() {
                             tr.push(
                                 round,
                                 EventKind::Unicast {
@@ -706,7 +636,7 @@ where
                 } else {
                     rm.honest_messages += n;
                 }
-                if let Some(tr) = trace.as_deref_mut() {
+                if let Some(tr) = trace.as_mut() {
                     tr.push(
                         round,
                         EventKind::Broadcast {
@@ -723,7 +653,7 @@ where
             }
             for env in unicasts {
                 if plan.is_some_and(|p| p.severed(round, i, env.to.index())) {
-                    if let Some(tr) = trace.as_deref_mut() {
+                    if let Some(tr) = trace.as_mut() {
                         tr.push(
                             round,
                             EventKind::FaultDrop {
@@ -741,7 +671,7 @@ where
                 } else {
                     rm.honest_messages += 1;
                 }
-                if let Some(tr) = trace.as_deref_mut() {
+                if let Some(tr) = trace.as_mut() {
                     tr.push(
                         round,
                         EventKind::Unicast {
@@ -764,7 +694,7 @@ where
             // A down sender's hardware is off — injections claiming to be
             // from it are suppressed, as is anything crossing a cut.
             if down[from] || plan.is_some_and(|p| p.severed(round, from, to)) {
-                if let Some(tr) = trace.as_deref_mut() {
+                if let Some(tr) = trace.as_mut() {
                     tr.push(round, EventKind::FaultDrop { from, to });
                 }
                 continue;
@@ -772,7 +702,7 @@ where
             let bytes = env.payload.size_bytes();
             rm.bytes += bytes;
             rm.byzantine_messages += 1;
-            if let Some(tr) = trace.as_deref_mut() {
+            if let Some(tr) = trace.as_mut() {
                 tr.push(round, EventKind::Inject { from, to, bytes });
             }
             inboxes[env.to.index()].direct.push(Received {
@@ -785,7 +715,7 @@ where
         for inbox in &mut inboxes {
             inbox.broadcasts = Arc::clone(&shared);
         }
-        if let Some(tr) = trace.as_deref_mut() {
+        if let Some(tr) = trace.as_mut() {
             tr.push(
                 round,
                 EventKind::RoundEnd {
@@ -820,6 +750,7 @@ where
                 crashed: down,
                 rounds_executed: round,
                 metrics,
+                trace,
             });
         }
     }
@@ -1064,21 +995,20 @@ mod tests {
             StepMode::Auto,
         ] {
             let cfg = EngineConfig {
-                sim: SimConfig {
+                step_mode: mode,
+                ..EngineConfig::from(SimConfig {
                     n: 7,
                     t: 1,
                     max_rounds: 5,
-                },
-                step_mode: mode,
+                })
             };
             let adv = CrashAdversary {
                 crashes: vec![(PartyId(6), 1)],
             };
-            let report = run_simulation_with(cfg, echo_factory, adv).unwrap();
-            let reference = run_simulation_with(
+            let reference = run_simulation(
                 EngineConfig {
-                    sim: cfg.sim,
                     step_mode: StepMode::Sequential,
+                    ..cfg.clone()
                 },
                 echo_factory,
                 CrashAdversary {
@@ -1086,6 +1016,7 @@ mod tests {
                 },
             )
             .unwrap();
+            let report = run_simulation(cfg, echo_factory, adv).unwrap();
             assert_eq!(report, reference, "mode {mode:?} diverged");
         }
     }
@@ -1101,15 +1032,18 @@ mod tests {
             let adv = CrashAdversary {
                 crashes: vec![(PartyId(5), 2)],
             };
-            run_simulation_traced(
+            let mut report = run_simulation(
                 EngineConfig {
-                    sim,
                     step_mode: mode,
+                    trace: true,
+                    ..EngineConfig::from(sim)
                 },
                 echo_factory,
                 adv,
             )
-            .unwrap()
+            .unwrap();
+            let trace = report.trace.take().expect("tracing is on");
+            (report, trace)
         };
         let (report_seq, trace_seq) = run(StepMode::Sequential);
         let (report_par, trace_par) = run(StepMode::Parallel { threads: 3 });
@@ -1139,8 +1073,16 @@ mod tests {
             max_rounds: 5,
         };
         let plain = run_simulation(sim, echo_factory, Passive).unwrap();
-        let (traced, trace) =
-            run_simulation_traced(EngineConfig::from(sim), echo_factory, Passive).unwrap();
+        let mut traced = run_simulation(
+            EngineConfig {
+                trace: true,
+                ..EngineConfig::from(sim)
+            },
+            echo_factory,
+            Passive,
+        )
+        .unwrap();
+        let trace = traced.trace.take().expect("tracing is on");
         assert_eq!(plain, traced);
         assert_eq!(trace.n, 4);
         assert_eq!(

@@ -24,6 +24,10 @@
 //! * Everything is deterministic: honest protocols are deterministic and
 //!   adversaries own their seeded RNGs, so a run is a pure function of
 //!   (configuration, protocol, adversary, seed).
+//! * [`run_simulation`] is the one entry point. A bare [`SimConfig`] runs
+//!   with the default settings; an [`EngineConfig`] also picks the
+//!   [`StepMode`], a benign [`FaultPlan`], and the flight recorder
+//!   ([`RunReport::trace`]).
 //!
 //! # Performance model
 //!
@@ -79,9 +83,8 @@ pub use adversary::{
     EquivocatingAdversary, Passive, ScriptedAdversary, SelectiveOmission, StaticByzantine,
 };
 pub use engine::{
-    auto_threads, run_simulation, run_simulation_faulted, run_simulation_faulted_traced,
-    run_simulation_traced, run_simulation_with, EngineConfig, RunReport, SimConfig, SimError,
-    StepMode, PARALLEL_THRESHOLD,
+    auto_threads, run_simulation, EngineConfig, RunReport, SimConfig, SimError, StepMode,
+    PARALLEL_THRESHOLD,
 };
 pub use fault::{CrashFault, FaultPlan, FaultPlanError, Partition};
 pub use mailbox::{Inbox, Outbox, Received};

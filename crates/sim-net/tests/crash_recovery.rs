@@ -15,8 +15,8 @@
 use std::collections::BTreeMap;
 
 use sim_net::{
-    run_simulation_faulted, run_simulation_faulted_traced, CrashFault, EngineConfig, EventKind,
-    FaultPlan, Inbox, Partition, Passive, Protocol, RoundCtx, SimConfig, SimError, StepMode,
+    run_simulation, CrashFault, EngineConfig, EventKind, FaultPlan, Inbox, Partition, Passive,
+    Protocol, RoundCtx, SimConfig, SimError, StepMode, Trace,
 };
 
 /// Broadcasts every round it is up; records exactly which rounds it was
@@ -61,12 +61,18 @@ impl Protocol for Chatter {
     }
 }
 
-fn cfg(n: usize, max_rounds: u32) -> EngineConfig {
-    EngineConfig::from(SimConfig {
-        n,
-        t: 0,
-        max_rounds,
-    })
+/// A traced, sequential run of `n` parties under `faults`.
+fn cfg(n: usize, max_rounds: u32, faults: FaultPlan) -> EngineConfig {
+    EngineConfig {
+        step_mode: StepMode::Sequential,
+        faults,
+        trace: true,
+        ..EngineConfig::from(SimConfig {
+            n,
+            t: 0,
+            max_rounds,
+        })
+    }
 }
 
 fn crash_plan(party: usize, crash_round: u32, recover_round: u32) -> FaultPlan {
@@ -83,8 +89,7 @@ fn crash_plan(party: usize, crash_round: u32, recover_round: u32) -> FaultPlan {
 #[test]
 fn crashed_party_is_frozen_and_rejoins_at_the_absolute_round() {
     let plan = crash_plan(2, 2, 4);
-    let report =
-        run_simulation_faulted(cfg(4, 10), &plan, |_, _| Chatter::new(6), Passive).unwrap();
+    let report = run_simulation(cfg(4, 10, plan), |_, _| Chatter::new(6), Passive).unwrap();
     assert_eq!(report.rounds_executed, 6);
     assert_eq!(report.crashed, vec![false; 4]);
 
@@ -110,8 +115,8 @@ fn crashed_party_is_frozen_and_rejoins_at_the_absolute_round() {
 #[test]
 fn crash_and_recovery_appear_in_per_round_trace_accounting() {
     let plan = crash_plan(2, 2, 4);
-    let (report, trace) =
-        run_simulation_faulted_traced(cfg(4, 10), &plan, |_, _| Chatter::new(6), Passive).unwrap();
+    let report = run_simulation(cfg(4, 10, plan), |_, _| Chatter::new(6), Passive).unwrap();
+    let trace = report.trace.as_ref().expect("tracing is on");
 
     let at = |round: u32, kind: &EventKind| {
         trace
@@ -136,8 +141,8 @@ fn crash_and_recovery_appear_in_per_round_trace_accounting() {
 
     // The bracketing/totals checker accepts the faulted trace, and the
     // trace reconciles exactly with the report's metrics.
-    aa_trace::check_round_totals(&trace).unwrap();
-    let totals = aa_trace::recomputed_totals(&trace);
+    aa_trace::check_round_totals(trace).unwrap();
+    let totals = aa_trace::recomputed_totals(trace);
     assert_eq!(totals.messages(), report.metrics.total_messages());
     assert_eq!(totals.bytes, report.metrics.total_bytes());
 }
@@ -145,8 +150,7 @@ fn crash_and_recovery_appear_in_per_round_trace_accounting() {
 #[test]
 fn permanently_crashed_party_does_not_block_termination() {
     let plan = crash_plan(2, 3, u32::MAX);
-    let report =
-        run_simulation_faulted(cfg(4, 10), &plan, |_, _| Chatter::new(5), Passive).unwrap();
+    let report = run_simulation(cfg(4, 10, plan), |_, _| Chatter::new(5), Passive).unwrap();
     assert_eq!(report.rounds_executed, 5);
     assert_eq!(report.crashed, vec![false, false, true, false]);
     assert!(report.outputs[2].is_none());
@@ -163,8 +167,8 @@ fn partition_severs_cross_cut_links_only_and_heals() {
         }],
         ..FaultPlan::none()
     };
-    let (report, trace) =
-        run_simulation_faulted_traced(cfg(4, 10), &plan, |_, _| Chatter::new(6), Passive).unwrap();
+    let report = run_simulation(cfg(4, 10, plan), |_, _| Chatter::new(6), Passive).unwrap();
+    let trace = report.trace.as_ref().expect("tracing is on");
 
     // During the cut each side only hears itself (round-r inboxes hold
     // round r-1 traffic, so rounds 3 and 4 show the severed view).
@@ -196,8 +200,8 @@ fn partition_severs_cross_cut_links_only_and_heals() {
     assert_eq!(drops(3), 8);
     assert_eq!(drops(4), 0);
 
-    aa_trace::check_round_totals(&trace).unwrap();
-    let totals = aa_trace::recomputed_totals(&trace);
+    aa_trace::check_round_totals(trace).unwrap();
+    let totals = aa_trace::recomputed_totals(trace);
     assert_eq!(totals.messages(), report.metrics.total_messages());
     assert_eq!(totals.bytes, report.metrics.total_bytes());
 }
@@ -218,31 +222,44 @@ fn faulted_runs_are_step_mode_invariant() {
         ..FaultPlan::none()
     };
     let run = |mode| {
-        let mut engine = cfg(5, 12);
+        let mut engine = cfg(5, 12, plan.clone());
         engine.step_mode = mode;
-        run_simulation_faulted_traced(engine, &plan, |_, _| Chatter::new(7), Passive).unwrap()
+        run_simulation(engine, |_, _| Chatter::new(7), Passive).unwrap()
     };
-    let (report_seq, trace_seq) = run(StepMode::Sequential);
-    let (report_par, trace_par) = run(StepMode::Parallel { threads: 3 });
-    assert_eq!(report_seq, report_par);
+    let (report_seq, report_par) = (
+        run(StepMode::Sequential),
+        run(StepMode::Parallel { threads: 3 }),
+    );
     assert_eq!(
-        trace_seq.to_canonical_string(),
-        trace_par.to_canonical_string(),
+        report_seq.trace.as_ref().map(Trace::to_canonical_string),
+        report_par.trace.as_ref().map(Trace::to_canonical_string),
         "faulted traces must stay byte-identical across step modes"
     );
+    assert_eq!(report_seq, report_par);
 }
 
+/// The engine runs an empty plan on its plan-free path, so a plan with
+/// no faults but its own seed must change nothing: not the report, not a
+/// byte of the trace, in either step mode.
 #[test]
 fn empty_plan_is_observably_identical_to_no_plan() {
-    let plain = sim_net::run_simulation(cfg(4, 10).sim, |_, _| Chatter::new(4), Passive).unwrap();
-    let faulted = run_simulation_faulted(
-        cfg(4, 10),
-        &FaultPlan::none(),
-        |_, _| Chatter::new(4),
-        Passive,
-    )
-    .unwrap();
-    assert_eq!(plain, faulted);
+    let seeded = FaultPlan {
+        seed: 0x5eed,
+        ..FaultPlan::none()
+    };
+    assert!(seeded.is_empty());
+    for mode in [StepMode::Sequential, StepMode::Parallel { threads: 3 }] {
+        let run = |faults: FaultPlan| {
+            let mut engine = cfg(4, 10, faults);
+            engine.step_mode = mode;
+            run_simulation(engine, |_, _| Chatter::new(4), Passive).unwrap()
+        };
+        let (none, empty) = (run(FaultPlan::none()), run(seeded.clone()));
+        let bytes = |r: &sim_net::RunReport<_>| r.trace.as_ref().map(Trace::to_canonical_string);
+        assert!(bytes(&none).is_some());
+        assert_eq!(bytes(&none), bytes(&empty), "{mode:?}: traces differ");
+        assert_eq!(none, empty, "{mode:?}: reports differ");
+    }
 }
 
 #[test]
@@ -251,13 +268,13 @@ fn incompatible_or_invalid_plans_are_rejected() {
         drop_permille: 100,
         ..FaultPlan::none()
     };
-    let err = run_simulation_faulted(cfg(4, 10), &probabilistic, |_, _| Chatter::new(3), Passive)
-        .unwrap_err();
+    let err =
+        run_simulation(cfg(4, 10, probabilistic), |_, _| Chatter::new(3), Passive).unwrap_err();
     assert!(matches!(err, SimError::BadFaultPlan { .. }), "{err}");
 
     let out_of_range = crash_plan(7, 1, 2);
-    let err = run_simulation_faulted(cfg(4, 10), &out_of_range, |_, _| Chatter::new(3), Passive)
-        .unwrap_err();
+    let err =
+        run_simulation(cfg(4, 10, out_of_range), |_, _| Chatter::new(3), Passive).unwrap_err();
     assert!(err.to_string().contains("party 7"), "{err}");
 }
 
@@ -280,14 +297,16 @@ fn monitored_wrapper_degrades_on_over_threshold_silence() {
         ],
         ..FaultPlan::none()
     };
-    let engine = EngineConfig::from(SimConfig {
-        n: 4,
-        t: 1,
-        max_rounds: 12,
-    });
-    let report = run_simulation_faulted(
-        engine,
-        &plan,
+    let engine = |faults| EngineConfig {
+        faults,
+        ..EngineConfig::from(SimConfig {
+            n: 4,
+            t: 1,
+            max_rounds: 12,
+        })
+    };
+    let report = run_simulation(
+        engine(plan),
         |_, n| sim_net::Monitored::new(Chatter::new(6), n, 1),
         Passive,
     )
@@ -305,9 +324,8 @@ fn monitored_wrapper_degrades_on_over_threshold_silence() {
     // Under the budget (a single recovering crash) the outcome stays a
     // plain Value.
     let ok_plan = crash_plan(3, 2, 4);
-    let report = run_simulation_faulted(
-        engine,
-        &ok_plan,
+    let report = run_simulation(
+        engine(ok_plan),
         |_, n| sim_net::Monitored::new(Chatter::new(6), n, 1),
         Passive,
     )

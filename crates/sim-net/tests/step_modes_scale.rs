@@ -15,8 +15,8 @@
 //! while still flowing n broadcasts through every inbox each round.
 
 use sim_net::{
-    run_simulation_traced, run_simulation_with, CrashAdversary, EngineConfig, Inbox, PartyId,
-    Protocol, RoundCtx, SimConfig, StepMode,
+    run_simulation, CrashAdversary, EngineConfig, Inbox, PartyId, Protocol, RoundCtx, SimConfig,
+    StepMode,
 };
 
 /// Three rounds of all-to-all traffic with state that depends on every
@@ -60,14 +60,15 @@ fn factory(id: PartyId, _n: usize) -> SumEcho {
     }
 }
 
-fn cfg(n: usize, mode: StepMode) -> EngineConfig {
+fn cfg(n: usize, mode: StepMode, trace: bool) -> EngineConfig {
     EngineConfig {
-        sim: SimConfig {
+        step_mode: mode,
+        trace,
+        ..EngineConfig::from(SimConfig {
             n,
             t: (n - 1) / 3,
             max_rounds: 6,
-        },
-        step_mode: mode,
+        })
     }
 }
 
@@ -87,28 +88,30 @@ const PARALLEL_MODES: [StepMode; 3] = [
 
 fn assert_modes_agree(n: usize) {
     let reference =
-        run_simulation_with(cfg(n, StepMode::Sequential), factory, adversary(n)).unwrap();
+        run_simulation(cfg(n, StepMode::Sequential, false), factory, adversary(n)).unwrap();
     assert_eq!(reference.rounds_executed, 3);
     for mode in PARALLEL_MODES {
-        let report = run_simulation_with(cfg(n, mode), factory, adversary(n)).unwrap();
+        let report = run_simulation(cfg(n, mode, false), factory, adversary(n)).unwrap();
         assert_eq!(report, reference, "n={n} mode {mode:?} diverged");
     }
 }
 
 fn assert_traces_agree(n: usize) {
-    let (ref_report, ref_trace) =
-        run_simulation_traced(cfg(n, StepMode::Sequential), factory, adversary(n)).unwrap();
+    let ref_report =
+        run_simulation(cfg(n, StepMode::Sequential, true), factory, adversary(n)).unwrap();
+    let ref_trace = ref_report.trace.as_ref().expect("tracing is on");
     let ref_bytes = ref_trace.to_canonical_string();
     for mode in PARALLEL_MODES {
-        let (report, trace) = run_simulation_traced(cfg(n, mode), factory, adversary(n)).unwrap();
-        assert_eq!(report, ref_report, "n={n} mode {mode:?} report diverged");
+        let report = run_simulation(cfg(n, mode, true), factory, adversary(n)).unwrap();
+        let trace = report.trace.as_ref().expect("tracing is on");
         assert_eq!(
             trace.to_canonical_string(),
             ref_bytes,
             "n={n} mode {mode:?} trace not byte-identical"
         );
+        assert_eq!(report, ref_report, "n={n} mode {mode:?} report diverged");
     }
-    aa_trace::check_round_totals(&ref_trace).unwrap();
+    aa_trace::check_round_totals(ref_trace).unwrap();
 }
 
 #[test]

@@ -15,7 +15,9 @@ use std::sync::Arc;
 
 use tree_aa_repro::async_aa::{AsyncTreeAaConfig, AsyncTreeAaParty};
 use tree_aa_repro::async_net::{run_async, AsyncConfig, DelayModel, SilentAsync};
-use tree_aa_repro::sim_net::{run_simulation, CrashAdversary, Outcome, PartyId, SimConfig};
+use tree_aa_repro::sim_net::{
+    run_simulation, CrashAdversary, FaultPlan, Outcome, PartyId, SimConfig,
+};
 use tree_aa_repro::tree_aa::{
     check_tree_aa, EngineKind, NowakRybickiConfig, NowakRybickiParty, TreeAaConfig, TreeAaParty,
 };
@@ -92,6 +94,8 @@ fn main() -> Result<(), Box<dyn Error>> {
                 min: 0.05,
             },
             max_events: 10_000_000,
+            faults: FaultPlan::none(),
+            record: false,
         },
         |id, _| AsyncTreeAaParty::new(acfg.clone(), Arc::clone(&tree), inputs[id.index()]),
         SilentAsync {

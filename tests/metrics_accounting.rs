@@ -5,7 +5,7 @@
 //! events equal the `RunReport` counters, in both step modes, across a
 //! seeded stream of generated fuzz cases.
 
-use aa_fuzz::{gen_case, run_case_traced};
+use aa_fuzz::{gen_case, run_case, Mutation};
 use aa_trace::recomputed_totals;
 
 const CASES: u64 = 50;
@@ -15,13 +15,13 @@ const SEED: u64 = 0xACC0;
 fn metrics_equal_trace_totals_over_seeded_cases() {
     for index in 0..CASES {
         let case = gen_case(SEED, index);
-        // `run_case_traced` runs the case under Sequential *and*
+        // A traced `run_case` runs the case under Sequential *and*
         // Parallel stepping and requires the two traces byte-identical,
         // so one recomputation covers both modes; the per-mode metrics
         // are still compared against it separately below.
-        let traced = run_case_traced(&case)
+        let traced = run_case(&case, Mutation::None, true)
             .unwrap_or_else(|e| panic!("case {index} ({}): {e}", case.protocol.name()));
-        let totals = recomputed_totals(&traced.trace);
+        let totals = recomputed_totals(traced.trace.as_ref().expect("traced runs record"));
         for (mode, metrics) in [
             ("sequential", &traced.seq_metrics),
             ("parallel", &traced.par_metrics),
@@ -45,7 +45,7 @@ fn metrics_equal_trace_totals_over_seeded_cases() {
         // The traced run must report the same outcome as the plain one.
         assert_eq!(
             traced.stats,
-            aa_fuzz::run_case(&case).unwrap(),
+            run_case(&case, Mutation::None, false).unwrap().stats,
             "case {index}: traced and untraced stats diverge"
         );
     }
